@@ -229,8 +229,8 @@ def suite_locality(seed=0, runs=100, model=None):
         wide = tuple(sorted(set(fv) | {"x", "pad"}))
         X = _random_team(rng, model, wide, max_rows=4)
         try:
-            lhs = eval_formula(model, X, phi)
-            rhs = eval_formula(model, restrict(X, fv or ("x",)), phi)
+            lhs = eval_formula(model, X, phi, literal=True)
+            rhs = eval_formula(model, restrict(X, fv or ("x",)), phi, literal=True)
         except BudgetExceeded:
             # a pathological nesting of quantifiers; no verdict either way
             continue

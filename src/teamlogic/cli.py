@@ -18,13 +18,13 @@ import sys
 from .checks import SUITES, run_all, run_suite
 from .entailment import entails_bounded
 from .eso import print_eso, tau
-from .formula import Dep, Gen, Inc, Ind, Var
+from .formula import Dep, Inc, Ind
 from .genatom import register_builtin_atoms, sigma_pi_translate, make_dep, make_inc, make_ind
 from .model import parse_model, print_model
 from .negation import NotNegatableError, wneg
 from .parser import ParseError, parse_formula, print_formula
 from .proofkernel import ProofError, check_proof, parse_proof
-from .semantics import EvalBudget, eval_formula
+from .semantics import eval_formula
 from .team import parse_team, print_team
 
 
@@ -65,14 +65,18 @@ def cmd_entail(args):
                               team_cap=args.team_cap, samples=args.samples,
                               seed=args.seed, registry=register_builtin_atoms())
     if verdict:
+        sampled = "sampled teams" in verdict.searched["notes"]
+        how = ("teams; teams were sampled, not searched exhaustively"
+               if sampled else "teams searched")
         _emit(args.machine,
-              "valid up to domain size %d (%d models, %d teams searched)"
+              "valid up to domain size %d (%d models, %d %s)"
               % (args.max_domain, verdict.searched["models"],
-                 verdict.searched["teams"]),
+                 verdict.searched["teams"], how),
               [("result", "valid-up-to-bound"),
                ("max_domain", args.max_domain),
                ("models", verdict.searched["models"]),
-               ("teams", verdict.searched["teams"])])
+               ("teams", verdict.searched["teams"]),
+               ("search", "sampled" if sampled else "exhaustive")])
         return 0
     model, X = verdict.witness
     if args.machine:

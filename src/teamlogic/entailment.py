@@ -3,8 +3,6 @@ a counterexample.  A positive answer is only ever "valid up to the bound";
 a counterexample is conclusive and is reported with its witness.
 """
 
-import itertools
-
 from .formula import Const, FOAtom, NegFOAtom, free_vars
 from .model import Signature, enumerate_models
 from .semantics import EvalBudget, Evaluator

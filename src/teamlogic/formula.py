@@ -27,9 +27,17 @@ class Const:
 
 
 class Formula:
-    """Base class; subclasses are frozen dataclasses and hence hashable."""
+    """Base class; subclasses are frozen dataclasses and hence hashable.
+    Each node's hash is computed once, on first use, by the dataclass field
+    hash and kept in the instance __dict__ (see the end of this module)."""
 
     __slots__ = ()
+
+    def __getstate__(self):
+        # string hashes differ between interpreters: never pickle the cache
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
 
 @dataclass(frozen=True)
@@ -192,7 +200,17 @@ class SeqNeq(Formula):
             raise ValueError("sequence inequality sides must have equal length")
 
 
-SUGAR_NODES = (Implies, SeqEq, SeqNeq)
+def _cached_hash(self):
+    try:
+        return self._hash
+    except AttributeError:
+        h = self.__dict__["_hash"] = self._field_hash()
+        return h
+
+
+for _cls in Formula.__subclasses__():
+    _cls._field_hash = _cls.__hash__
+    _cls.__hash__ = _cached_hash
 
 
 def conj(parts):

@@ -61,10 +61,6 @@ class Model:
             raise ModelError("unknown constant %s" % name)
         return self.consts[name]
 
-    def require_at_least_two(self):
-        if len(self.domain) < 2:
-            raise ModelError("this check requires a domain with at least two elements")
-
     def __eq__(self, other):
         return (isinstance(other, Model) and self.domain == other.domain
                 and self.rels == other.rels and self.consts == other.consts)

@@ -1,12 +1,16 @@
 """The team-semantics evaluator (lax semantics) plus a Tarskian evaluator
 for first-order formulas on single assignments.
 
-Two evaluation modes exist.  The default mode is exact and uses two sound
+Two evaluation modes exist.  The default mode is exact and uses three sound
 accelerations: first-order subformulas are evaluated rowwise (justified by
-the flatness property, which the check suites verify independently), and
+the flatness property, which the check suites verify independently);
 existential blocks over conjunctions of first-order / inclusion /
 unconditional-independence / constancy conjuncts are solved by a dedicated
-branch-and-delete search whose witnesses are always re-verified literally.
+branch-and-delete search whose witnesses are always re-verified literally;
+and E x (c1 /\\ ... /\\ cn) first checks on X itself every conjunct ci that
+does not mention x, and is false if one fails (justified by locality: ci
+sees X[F/x] exactly as it sees X; the locality suite checks this property
+independently, on the literal evaluator).
 The literal mode (literal=True) implements the defining clauses directly
 (cover enumeration for split disjunction, per-row supplement-function search
 for the existential quantifier) and is what the clause-conformance property
@@ -231,6 +235,10 @@ class Evaluator:
 
     def _eval_exists(self, X, phi):
         if not self.literal:
+            # locality: a conjunct without x sees X[F/x] exactly as it sees X
+            for c in _flatten_and(phi.body):
+                if phi.v not in free_vars(c) and not self._eval(X, c):
+                    return False
             block = _collect_block(phi, set(X.vars))
             if block is not None:
                 bound, conjuncts = block

@@ -61,20 +61,6 @@ class Team:
             yield dict(zip(self.vars, r))
 
 
-def team_of_assignments(dicts, variables=None):
-    dicts = list(dicts)
-    if variables is None:
-        if not dicts:
-            raise TeamError("cannot infer variables of an empty team")
-        variables = tuple(sorted(dicts[0]))
-    rows = []
-    for s in dicts:
-        if set(s) != set(variables):
-            raise TeamError("assignment domain mismatch")
-        rows.append(tuple(s[v] for v in variables))
-    return Team(variables, rows)
-
-
 def duplicate(X, model, x):
     """X(M/x): every row extended (or overwritten) with every domain value."""
     if x in X.vars:

@@ -140,3 +140,18 @@ def test_console_script_is_installed():
     assert shutil.which("teamlogic") is not None
     recorded = dist.entry_points.select(group="console_scripts", name="teamlogic")
     assert [e.value for e in recorded] == [declared]
+
+
+def test_entail_says_when_teams_were_sampled(capsys):
+    # 27 assignments at domain 3 exceed --team-cap 16, so teams are sampled
+    argv = ["entail", "--hyp", "ind(x;z;y)", "--concl", "ind(y;z;x)",
+            "--max-domain", "3"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "valid up to domain size 3" in out
+    assert "sampled, not searched exhaustively" in out
+    assert main(["--machine"] + argv) == 0
+    assert "search=sampled" in capsys.readouterr().out.splitlines()
+    assert main(["--machine", "entail", "--hyp", "ind(x;z;y)",
+                 "--concl", "ind(y;z;x)"]) == 0
+    assert "search=exhaustive" in capsys.readouterr().out.splitlines()

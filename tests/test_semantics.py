@@ -152,3 +152,58 @@ def test_block_solver_agrees_with_literal_search(seed):
             if rng.random() < 0.7]
     X = Team(("x",), rows)
     assert eval_formula(M, X, phi) == eval_formula(M, X, phi, literal=True)
+
+
+_x_free_leaf = st.sampled_from([
+    Dep((y,), (z,)), Dep((), (y,)), Ind((y,), (), (z,)), Ind((y,), (z,), (y,)),
+    Inc((y,), (z,)), Eq(y, z), FOAtom("P", (z,))])
+_x_free = st.recursive(
+    _x_free_leaf,
+    lambda c: st.one_of(st.builds(WNeg, c), st.builds(BoolOr, c, c)),
+    max_leaves=3)
+_with_x = st.sampled_from([
+    Eq(x, y), Dep((), (x,)), Dep((z,), (x,)), Inc((x,), (y,)), Ind((x,), (), (y,)),
+    SplitOr(Eq(x, y), Inc((x,), (z,))), BoolOr(Dep((), (x,)), NegEq(x, z))])
+
+
+@settings(max_examples=80, deadline=None)
+@given(_x_free, _with_x, st.booleans(), st.booleans(), st.data())
+def test_exists_locality_precheck_agrees_with_literal(a, b, a_first, x_in_team, data):
+    """E x (A /\\ B) with x not free in A: the default evaluator checks A on
+    the team before any supplement; the literal search must agree, also
+    when x is already a team variable."""
+    phi = Exists(x, And(a, b) if a_first else And(b, a))
+    vs = ("x", "y", "z") if x_in_team else ("y", "z")
+    row = st.tuples(*[st.sampled_from(M.domain)] * len(vs))
+    X = Team(vs, data.draw(st.lists(row, max_size=3)))
+    assert eval_formula(M, X, phi) == eval_formula(M, X, phi, literal=True)
+
+
+def test_locality_precheck_skips_conjuncts_that_mention_x():
+    # =(x) fails on the team, but E x rebinds x to a constant
+    X = Team(("x",), [("0",), ("1",)])
+    assert not eval_formula(M, X, Dep((), (x,)))
+    assert eval_formula(M, X, Exists(x, Dep((), (x,))))
+    assert eval_formula(M, X, Exists(x, Dep((), (x,))), literal=True)
+
+
+def test_formula_hash_is_cached_and_structural():
+    import dataclasses
+    import pickle
+    from teamlogic.semantics import Evaluator
+
+    def build():
+        return Exists(y, And(Dep((x,), (y,)), SplitOr(Eq(x, y), Inc((y,), (x,)))))
+
+    a, b = build(), build()
+    assert a is not b and a == b and hash(a) == hash(b)
+    h = hash(a)
+    ev = Evaluator(M)
+    X = Team(("x",), [("0",), ("1",)])
+    assert ev.eval(X, a) and (a, X) in ev._memo and (b, X) in ev._memo
+    assert hash(a) == h == hash(build())
+    assert [f.name for f in dataclasses.fields(a)] == ["v", "body"]
+    assert repr(Dep((x,), (y,))) == "Dep(determiners=(Var(x),), dependent=(Var(y),))"
+    # a pickled node carries no hash: str hashes differ between interpreters
+    c = pickle.loads(pickle.dumps(a))
+    assert "_hash" not in vars(c) and c == a and hash(c) == h
