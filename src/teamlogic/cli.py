@@ -13,6 +13,7 @@ parse errors.
 """
 
 import argparse
+import functools
 import sys
 
 from .checks import SUITES, run_all, run_suite
@@ -65,8 +66,11 @@ def cmd_entail(args):
                               team_cap=args.team_cap, samples=args.samples,
                               seed=args.seed, registry=register_builtin_atoms())
     if verdict:
-        sampled = "sampled teams" in verdict.searched["notes"]
-        how = ("teams; teams were sampled, not searched exhaustively"
+        by_size = verdict.searched["by_size"]
+        sampled = [d for d in sorted(by_size) if by_size[d]["sampled"]]
+        how = ("teams; teams at domain size%s %s were sampled, not searched "
+               "exhaustively" % ("s" if len(sampled) > 1 else "",
+                                 ", ".join(map(str, sampled)))
                if sampled else "teams searched")
         _emit(args.machine,
               "valid up to domain size %d (%d models, %d %s)"
@@ -76,7 +80,10 @@ def cmd_entail(args):
                ("max_domain", args.max_domain),
                ("models", verdict.searched["models"]),
                ("teams", verdict.searched["teams"]),
-               ("search", "sampled" if sampled else "exhaustive")])
+               ("search", "sampled" if sampled else "exhaustive")]
+              + [("search_d%d" % d,
+                  "sampled" if by_size[d]["sampled"] else "exhaustive")
+                 for d in sorted(by_size)])
         return 0
     model, X = verdict.witness
     if args.machine:
@@ -157,13 +164,15 @@ def cmd_props(args):
     return 0 if ok else 1
 
 
+MACHINE_HELP = "emit key=value records instead of prose"
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="teamlogic",
         description="workbench for dependence and independence logic "
                     "under team semantics")
-    p.add_argument("--machine", action="store_true",
-                   help="emit key=value records instead of prose")
+    p.add_argument("--machine", action="store_true", help=MACHINE_HELP)
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("check", help="evaluate a formula on a model and team")
@@ -199,12 +208,23 @@ def build_parser():
     c.add_argument("--samples", type=int, default=0,
                    help="override the per-suite number of random checks")
     c.set_defaults(fn=cmd_props)
+
+    # --machine is also accepted after the subcommand; SUPPRESS keeps the
+    # subparser from overwriting a --machine given before it
+    for c in sub.choices.values():
+        c.add_argument("--machine", action="store_true",
+                       default=argparse.SUPPRESS, help=MACHINE_HELP)
     return p
 
 
+@functools.cache
+def _parser():
+    """The parser, built on first use; parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (CliError, ParseError, ProofError, ValueError) as e:

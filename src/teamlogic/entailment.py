@@ -59,15 +59,23 @@ def entails_bounded(hypotheses, conclusion, max_domain=2, team_cap=16,
     """Search all models up to max_domain over the mentioned signature and,
     per model, all teams over the union of free variables (or `samples`
     random teams when the exhaustive space exceeds team_cap assignments, or
-    always when samples > 0 and the space is large)."""
+    always when samples > 0 and the space is large).
+
+    `searched` counts the models and teams tried, in total and, under
+    "by_size", per domain size, where "sampled" says whether that size's
+    teams were sampled rather than enumerated."""
     formulas = list(hypotheses) + [conclusion]
     sig = mentioned_signature(formulas, registry)
     variables = sorted({v.name for phi in formulas for v in free_vars(phi)})
     budget = budget or EvalBudget()
     n_models = n_teams = 0
     notes = []
+    by_size = {}
     for model in enumerate_models(sig, max_domain):
         n_models += 1
+        size = by_size.setdefault(len(model.domain),
+                                  {"models": 0, "teams": 0, "sampled": False})
+        size["models"] += 1
         ev = Evaluator(model, registry, budget)
         try:
             teams = list(all_teams(model, variables, cap=team_cap))
@@ -77,21 +85,18 @@ def entails_bounded(hypotheses, conclusion, max_domain=2, team_cap=16,
                 teams = sample_small_teams(model, variables, count, max_rows, seed)
             else:
                 teams = sample_teams(model, variables, count, seed)
+            size["sampled"] = True
             if "sampled teams" not in notes:
                 notes.append("sampled teams")
         for X in teams:
             n_teams += 1
+            size["teams"] += 1
             if all(ev.eval(X, h) for h in hypotheses) and not ev.eval(X, conclusion):
                 return EntailmentVerdict(
                     COUNTEREXAMPLE, (model, X),
-                    {"models": n_models, "teams": n_teams, "notes": notes})
+                    {"models": n_models, "teams": n_teams, "notes": notes,
+                     "by_size": by_size})
     return EntailmentVerdict(
         VALID_UP_TO_BOUND, None,
-        {"models": n_models, "teams": n_teams, "notes": notes})
-
-
-def rule_soundness_check(premises, conclusion, max_domain=2, **kw):
-    """A deduction-rule instance is sound when its premises entail its
-    conclusion; hypothetical rules are checked by the caller passing the
-    subproof's assumption among the premises."""
-    return entails_bounded(premises, conclusion, max_domain=max_domain, **kw)
+        {"models": n_models, "teams": n_teams, "notes": notes,
+         "by_size": by_size})

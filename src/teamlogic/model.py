@@ -6,7 +6,11 @@ Model file format (line based, "#" starts a comment):
     rel NAME ARITY
       e1 e2 ...
       ...
+    rel NAME 0 holds
     const NAME e
+
+A 0-ary relation is false unless its rel line ends in "holds".  An empty
+relation keeps no arity in a Model and is printed with arity 0.
 """
 
 import itertools
@@ -103,17 +107,15 @@ def parse_model(text):
             if not domain:
                 raise ModelError("empty domain")
         elif parts[0] == "rel":
-            if len(parts) != 3:
-                raise ModelError("rel line needs NAME ARITY: %r" % raw)
+            holds = parts[3:] == ["holds"]
+            if len(parts) != 3 and not (holds and parts[2] == "0"):
+                raise ModelError("rel line needs NAME ARITY or NAME 0 holds: %r" % raw)
             name, arity = parts[1], int(parts[2])
             if name in rels:
                 raise ModelError("relation %s declared twice" % name)
-            rels[name] = set()
+            rels[name] = {()} if holds else set()
             arities[name] = arity
             current = name
-            if arity == 0:
-                # 0-ary relations cannot list tuples; "rel R 0 holds" marks truth
-                pass
         elif parts[0] == "const":
             if len(parts) != 3:
                 raise ModelError("const line needs NAME ELEMENT: %r" % raw)
@@ -134,8 +136,10 @@ def print_model(model):
     lines = ["domain %s" % " ".join(model.domain)]
     for name in sorted(model.rels):
         tuples = sorted(model.rels[name])
-        arity = len(next(iter(tuples))) if tuples else 0
-        lines.append("rel %s %d" % (name, arity))
+        if tuples == [()]:
+            lines.append("rel %s 0 holds" % name)
+            continue
+        lines.append("rel %s %d" % (name, len(tuples[0]) if tuples else 0))
         for t in tuples:
             lines.append("  " + " ".join(t))
     for name in sorted(model.consts):

@@ -624,12 +624,6 @@ def _realizable(asg):
 # --- helpers used by script generation ----------------------------------------
 
 
-def wneg_elim_target(goal, registry=None):
-    """The exact assumption formula a WNegE subproof for `goal` must open
-    with."""
-    return wneg(goal, registry)
-
-
 def close_formula(delta, chi):
     """Existentially close chi over its free variables (which must be
     disjoint from those of delta) and return the closure together with two

@@ -18,12 +18,13 @@ suites run against.
 """
 
 import itertools
+import operator
 
 from .formula import (And, Bot, BoolOr, Const, Dep, Eq, Exists, Exists1,
                       FOAtom, Forall, Forall1, Implies, Inc, Ind, NegEq,
                       NegFOAtom, SeqEq, SeqNeq, SplitOr, Top, Var, WNeg, Gen,
                       free_vars, is_first_order)
-from .team import Team, rel as team_rel
+from .team import Team
 
 
 class EvalError(ValueError):
@@ -133,7 +134,8 @@ class Evaluator:
 
     def _eval_uncached(self, X, phi):
         if not self.literal and is_first_order(phi):
-            return all(eval_single(self.model, s, phi) for s in X.assignments())
+            return all(eval_single(self.model, dict(zip(X.vars, r)), phi)
+                       for r in X.rows)
         if isinstance(phi, (FOAtom, NegFOAtom, Eq, NegEq, SeqEq, SeqNeq, Implies, Top)):
             return all(eval_single(self.model, s, phi) for s in X.assignments())
         if isinstance(phi, Bot):
@@ -173,34 +175,32 @@ class Evaluator:
     # -- atoms ----------------------------------------------------------------
 
     def _eval_dep(self, X, phi):
-        det = [X.column(v.name) for v in phi.determiners]
-        dep = [X.column(v.name) for v in phi.dependent]
+        key, val = _key(X, phi.determiners), _key(X, phi.dependent)
         seen = {}
         for r in X.rows:
-            k = tuple(r[i] for i in det)
-            v = tuple(r[i] for i in dep)
-            if seen.setdefault(k, v) != v:
+            v = val(r)
+            if seen.setdefault(key(r), v) != v:
                 return False
         return True
 
     def _eval_ind(self, X, phi):
-        zi = [X.column(v.name) for v in phi.zs]
-        xi = [X.column(v.name) for v in phi.xs]
-        yi = [X.column(v.name) for v in phi.ys]
-        combined = {tuple(r[i] for i in zi + xi + yi) for r in X.rows}
-        rows = list(X.rows)
-        for s in rows:
-            for t in rows:
-                if tuple(s[i] for i in zi) != tuple(t[i] for i in zi):
-                    continue
-                want = (tuple(s[i] for i in zi) + tuple(s[i] for i in xi)
-                        + tuple(t[i] for i in yi))
-                if want not in combined:
-                    return False
-        return True
+        zkey, xkey, ykey = _key(X, phi.zs), _key(X, phi.xs), _key(X, phi.ys)
+        classes = {}
+        for r in X.rows:
+            z = zkey(r)
+            c = classes.get(z)
+            if c is None:
+                c = classes[z] = (set(), set(), set())
+            a, b = xkey(r), ykey(r)
+            c[0].add(a)
+            c[1].add(b)
+            c[2].add((a, b))
+        # the atom holds iff every z-class is the product of its x- and y-values
+        return all(len(A) * len(B) == len(P) for A, B, P in classes.values())
 
     def _eval_inc(self, X, phi):
-        return team_rel(X, [v.name for v in phi.xs]) <= team_rel(X, [v.name for v in phi.ys])
+        have = set(map(_key(X, phi.ys), X.rows))
+        return have.issuperset(map(_key(X, phi.xs), X.rows))
 
     # -- split disjunction ----------------------------------------------------
 
@@ -441,6 +441,16 @@ def _collect_block(phi, team_vars):
                     changed = True
                     break
     return bound, conjuncts
+
+
+def _key(X, variables):
+    """Row projection onto the columns of `variables`.  A single column
+    projects to a bare value, so only keys built from variable lists of the
+    same length may be compared."""
+    columns = [X.column(v.name) for v in variables]
+    if not columns:
+        return lambda r: ()
+    return operator.itemgetter(*columns)
 
 
 def _flatten_and(phi):

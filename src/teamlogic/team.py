@@ -24,13 +24,13 @@ class TeamCapExceeded(TeamError):
 class Team:
     def __init__(self, variables, rows):
         self.vars = tuple(variables)
-        if len(set(self.vars)) != len(self.vars):
+        n = len(self.vars)
+        if len(set(self.vars)) != n:
             raise TeamError("duplicate variable in team domain")
-        rows = frozenset(tuple(r) for r in rows)
-        for r in rows:
-            if len(r) != len(self.vars):
-                raise TeamError("row length %d does not match %d variables"
-                                % (len(r), len(self.vars)))
+        rows = frozenset(map(tuple, rows))
+        bad = set(map(len, rows)) - {n}
+        if bad:
+            raise TeamError("row length %d does not match %d variables" % (min(bad), n))
         self.rows = rows
         self._index = {v: i for i, v in enumerate(self.vars)}
 
@@ -117,9 +117,13 @@ def all_teams(model, variables, cap=16):
     if n_assign > cap:
         raise TeamCapExceeded(
             "%d assignments exceed the cap of %d; use sample_teams" % (n_assign, cap))
-    space = sorted(itertools.product(model.domain, repeat=len(variables)))
-    for mask in range(1 << n_assign):
-        yield Team(variables, [space[i] for i in range(n_assign) if mask >> i & 1])
+    # subsets[mask] lists, in order, the i-th sorted assignment for every
+    # bit i set in mask: the order of the bit-mask enumeration
+    subsets = [()]
+    for row in sorted(itertools.product(model.domain, repeat=len(variables))):
+        subsets += [s + (row,) for s in subsets]
+    for rows in subsets:
+        yield Team(variables, rows)
 
 
 def sample_teams(model, variables, count, seed):

@@ -150,8 +150,35 @@ def test_entail_says_when_teams_were_sampled(capsys):
     out = capsys.readouterr().out
     assert "valid up to domain size 3" in out
     assert "sampled, not searched exhaustively" in out
+    assert "teams at domain size 3 were sampled" in out
     assert main(["--machine"] + argv) == 0
-    assert "search=sampled" in capsys.readouterr().out.splitlines()
+    records = capsys.readouterr().out.splitlines()
+    assert "search=sampled" in records
+    assert [r for r in records if r.startswith("search_d")] == [
+        "search_d1=exhaustive", "search_d2=exhaustive", "search_d3=sampled"]
     assert main(["--machine", "entail", "--hyp", "ind(x;z;y)",
                  "--concl", "ind(y;z;x)"]) == 0
     assert "search=exhaustive" in capsys.readouterr().out.splitlines()
+
+
+def test_machine_flag_before_or_after_the_subcommand(capsys):
+    argv = ["entail", "--hyp", "=(x ; y)", "--concl", "=(y ; x)"]
+    assert main(["--machine"] + argv) == 1
+    before = capsys.readouterr().out
+    assert main(argv + ["--machine"]) == 1
+    assert capsys.readouterr().out == before
+    assert before.startswith("result=counterexample\n")
+    assert main(["negate", "--machine", "--formula", "x = y"]) == 0
+    assert capsys.readouterr().out.startswith("negation=")
+
+
+def test_main_calls_share_no_state(capsys):
+    assert main(["--machine", "negate", "--formula", "x = y"]) == 0
+    assert capsys.readouterr().out.startswith("negation=")
+    assert main(["negate", "--formula", "x = y"]) == 0
+    assert not capsys.readouterr().out.startswith("negation=")
+    # x = y entails =(x ; y); a --hyp kept from the call before would hide
+    # the counterexample of the second call
+    assert main(["entail", "--hyp", "x = y", "--concl", "=(x ; y)"]) == 0
+    capsys.readouterr()
+    assert main(["entail", "--concl", "=(x ; y)"]) == 1

@@ -1,5 +1,5 @@
 from teamlogic.entailment import (EntailmentVerdict, entails_bounded,
-                                  mentioned_signature, rule_soundness_check)
+                                  mentioned_signature)
 from teamlogic.formula import (Const, Dep, Eq, Exists, FOAtom, Inc, Ind, Var,
                                free_vars)
 from teamlogic.genatom import register_builtin_atoms
@@ -59,8 +59,8 @@ def test_sampling_mode_reports_itself():
 
 
 def test_rule_soundness_check_delegates():
-    assert rule_soundness_check([Dep((x,), (y,)), Dep((y,), (z,))],
-                                Dep((x,), (z,)))
+    assert entails_bounded([Dep((x,), (y,)), Dep((y,), (z,))],
+                           Dep((x,), (z,)), max_domain=2)
 
 
 def test_registry_flows_through():
@@ -68,3 +68,18 @@ def test_registry_flows_through():
     phi = parse_formula("dep1(x,y)", atoms=atoms)
     v = entails_bounded([phi], Dep((x,), (y,)), registry=atoms)
     assert v
+
+
+def test_search_is_reported_per_domain_size():
+    hyp, con = parse_formula("ind(x;z;y)"), parse_formula("ind(y;z;x)")
+    v = entails_bounded([hyp], con, max_domain=3)
+    by_size = v.searched["by_size"]
+    # 1 and 8 assignments fit the team cap of 16, 27 do not
+    assert by_size == {1: {"models": 1, "teams": 2, "sampled": False},
+                       2: {"models": 1, "teams": 256, "sampled": False},
+                       3: {"models": 1, "teams": 1000, "sampled": True}}
+    assert v.searched["teams"] == 1258 and v.searched["models"] == 3
+    assert v.searched["notes"] == ["sampled teams"]
+    v = entails_bounded([Dep((x,), (y,))], Dep((y,), (x,)))
+    assert not v
+    assert sum(d["teams"] for d in v.searched["by_size"].values()) == v.searched["teams"]

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from teamlogic.model import (Model, ModelError, Signature, enumerate_models,
@@ -37,6 +39,28 @@ def test_model_print_parse_round_trip():
     assert parse_model(print_model(m)) == m
 
 
+@pytest.mark.parametrize("model", [
+    Model(("a",), {"T": [()]}),
+    Model(("a",), {"F": []}),
+    Model(("a", "b"), {"T": [()], "F": [], "R": [], "S": [("b", "a")]},
+          {"c": "b", "d": "a"}),
+    Model(("a", "b"), {"P": [("a",), ("b",)], "E": []}, {"c": "a"}),
+], ids=["true-0-ary", "false-0-ary", "mixed", "unary-and-empty"])
+def test_model_print_then_parse_is_the_identity(model):
+    text = print_model(model)
+    assert parse_model(text) == model
+    assert print_model(parse_model(text)) == text
+
+
+def test_true_0_ary_relation_is_written_holds():
+    assert "rel T 0 holds\n" in print_model(Model(("a",), {"T": [()]}))
+    assert parse_model("domain a\nrel T 0 holds\n").rel("T") == {()}
+    assert parse_model("domain a\nrel F 0\n").rel("F") == frozenset()
+    for bad in ("rel R 1 holds", "rel R 0 true", "rel R 0 holds x"):
+        with pytest.raises(ModelError):
+            parse_model("domain a\n%s\n" % bad)
+
+
 def test_enumerate_models_counts():
     sig = Signature({"P": 1})
     models = list(enumerate_models(sig, 2))
@@ -51,6 +75,13 @@ def test_team_rejects_ragged_rows():
         Team(("x", "y"), [("0",)])
     with pytest.raises(TeamError):
         Team(("x", "x"), [("0", "0")])
+    with pytest.raises(TeamError, match="row length 1 does not match 2"):
+        Team(("x", "y"), [["0", "1"], ["0"]])
+    with pytest.raises(TeamError, match="row length 3 does not match 2"):
+        Team(("x", "y"), (r for r in [("0", "1"), ("0", "1", "1")]))
+    with pytest.raises(TeamError, match="row length 1 does not match 2"):
+        Team(("x", "y"), [(v for v in "0")])
+    assert Team(("x", "y"), (list(r) for r in [("0", "1")])).rows == {("0", "1")}
 
 
 def test_duplicate_extends_and_overwrites():
@@ -90,6 +121,17 @@ def test_all_teams_count_and_cap():
     assert len(teams) == 16
     with pytest.raises(TeamCapExceeded):
         list(all_teams(m2(), ("a", "b", "c", "d", "e")))
+
+
+@pytest.mark.parametrize("domain, variables", [
+    (("0", "1"), ("x", "y", "z")), (("0", "1", "2"), ("x", "y"))])
+def test_all_teams_keeps_the_bit_mask_order(domain, variables):
+    model = Model(domain)
+    space = sorted(itertools.product(domain, repeat=len(variables)))
+    n = len(space)
+    masks = [Team(variables, [space[i] for i in range(n) if mask >> i & 1])
+             for mask in range(1 << n)]
+    assert list(all_teams(model, variables)) == masks
 
 
 def test_sample_teams_reproducible():

@@ -7,9 +7,9 @@ from teamlogic.entailment import entails_bounded
 from teamlogic.formula import (Const, Eq, FOAtom, Inc, NegEq, NegFOAtom,
                                SeqNeq, Var)
 from teamlogic.parser import parse_formula
+from teamlogic.negation import wneg
 from teamlogic.proofkernel import (ProofError, bounded_fo_step, check_proof,
-                                   close_formula, parse_proof,
-                                   wneg_elim_target)
+                                   close_formula, parse_proof)
 
 PROOF_DIR = os.path.join(os.path.dirname(__file__), "..", "proofs")
 
@@ -98,7 +98,7 @@ def test_exe_conclusion_must_not_mention_eigenvariable():
 
 def test_wnege_requires_the_exact_synthesized_assumption():
     goal = parse_formula("=(x ; y)")
-    assert wneg_elim_target(goal) is not None
+    assert wneg(goal) is not None
     # a subproof from some other assumption to bot does not discharge
     v = check_text("assume x != x\n"
                    "2. bot ; FO 1\n"

@@ -4,12 +4,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracle_atoms
 from teamlogic.checks import default_model, gen_downward, gen_fo
 from teamlogic.formula import (And, BoolOr, Bot, Dep, Eq, Exists, Exists1,
                                FOAtom, Forall, Forall1, Inc, Ind, NegEq,
                                SplitOr, Top, Var, WNeg, free_vars)
 from teamlogic.semantics import (BudgetExceeded, EvalBudget, eval_formula,
                                  eval_single)
+from teamlogic.model import Model
 from teamlogic.team import Team
 
 x, y, z = Var("x"), Var("y"), Var("z")
@@ -207,3 +209,50 @@ def test_formula_hash_is_cached_and_structural():
     # a pickled node carries no hash: str hashes differ between interpreters
     c = pickle.loads(pickle.dumps(a))
     assert "_hash" not in vars(c) and c == a and hash(c) == h
+
+
+_ATOM_VARS = ("x", "y", "z", "w")
+_tuple = st.lists(st.sampled_from(_ATOM_VARS), max_size=3).map(tuple)
+
+
+@st.composite
+def _atom(draw):
+    kind = draw(st.sampled_from(["dep", "ind", "inc", "fixed"]))
+    if kind == "dep":
+        dependent = draw(st.lists(st.sampled_from(_ATOM_VARS), min_size=1,
+                                  max_size=3).map(tuple))
+        return ("dep", draw(_tuple), dependent)
+    if kind == "ind":
+        return ("ind", draw(_tuple), draw(_tuple), draw(_tuple))
+    if kind == "inc":
+        xs = draw(_tuple)
+        ys = draw(st.lists(st.sampled_from(_ATOM_VARS), min_size=len(xs),
+                           max_size=len(xs)).map(tuple))
+        return ("inc", xs, ys)
+    # repeated and overlapping variables: ind(x;x;y) and ind(x,y;;x)
+    return draw(st.sampled_from([("ind", ("x",), ("x",), ("y",)),
+                                 ("ind", ("x", "y"), (), ("x",))]))
+
+
+def _as_formula(atom):
+    kind, *parts = atom
+    parts = [tuple(Var(v) for v in p) for p in parts]
+    return {"dep": Dep, "ind": Ind, "inc": Inc}[kind](*parts)
+
+
+def _oracle(atom, rows):
+    kind, *parts = atom
+    return getattr(oracle_atoms, "holds_" + kind)(_ATOM_VARS, rows, *parts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_atom(), st.sampled_from([("0", "1"), ("0", "1", "2")]), st.booleans(),
+       st.data())
+def test_atom_clauses_agree_with_the_oracle(atom, domain, literal, data):
+    """dep, ind and inc against the independent transcription of their
+    defining clauses, on teams of up to 40 rows."""
+    row = st.tuples(*[st.sampled_from(domain)] * len(_ATOM_VARS))
+    rows = set(data.draw(st.lists(row, max_size=40)))
+    X = Team(_ATOM_VARS, rows)
+    assert (eval_formula(Model(domain), X, _as_formula(atom), literal=literal)
+            == _oracle(atom, rows))
