@@ -246,7 +246,7 @@ def suite_empty_team(seed=0, runs=100, model=None):
     for i in range(runs):
         phi = gen_full(rng, depth=2)
         X = Team(_team_vars(phi), [])
-        if not eval_formula(model, X, phi):
+        if not eval_formula(model, X, phi, literal=True):
             failures.append("run %d: formula %r" % (i, phi))
     return SuiteResult("empty-team", runs, failures)
 

@@ -29,9 +29,11 @@ class Const:
 class Formula:
     """Base class; subclasses are frozen dataclasses and hence hashable.
     Each node's hash is computed once, on first use, by the dataclass field
-    hash and kept in the instance __dict__ (see the end of this module)."""
+    hash and kept in the instance __dict__; until then the class-level None
+    stands in (see the end of this module)."""
 
     __slots__ = ()
+    _hash = None
 
     def __getstate__(self):
         # string hashes differ between interpreters: never pickle the cache
@@ -201,11 +203,11 @@ class SeqNeq(Formula):
 
 
 def _cached_hash(self):
-    try:
-        return self._hash
-    except AttributeError:
-        h = self.__dict__["_hash"] = self._field_hash()
-        return h
+    h = self._hash
+    if h is None:
+        h = self._field_hash()
+        object.__setattr__(self, "_hash", h)
+    return h
 
 
 for _cls in Formula.__subclasses__():

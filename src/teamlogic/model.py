@@ -119,17 +119,14 @@ def parse_model(text):
         elif parts[0] == "const":
             if len(parts) != 3:
                 raise ModelError("const line needs NAME ELEMENT: %r" % raw)
+            if parts[1] in consts:
+                raise ModelError("constant %s declared twice" % parts[1])
             consts[parts[1]] = parts[2]
         else:
             raise ModelError("unrecognized line: %r" % raw)
     if domain is None:
         raise ModelError("missing domain line")
-    model = Model(domain, rels, consts)
-    # empty relations lose their arity in the Model; that is fine for checking
-    for name, e in consts.items():
-        if e not in model.domain:
-            raise ModelError("constant %s interpreted outside domain" % name)
-    return model
+    return Model(domain, rels, consts)
 
 
 def print_model(model):

@@ -1,9 +1,13 @@
 """The team-semantics evaluator (lax semantics) plus a Tarskian evaluator
 for first-order formulas on single assignments.
 
-Two evaluation modes exist.  The default mode is exact and uses three sound
+Two evaluation modes exist.  The default mode is exact and uses four sound
 accelerations: first-order subformulas are evaluated rowwise (justified by
-the flatness property, which the check suites verify independently);
+the flatness property, which the check suites verify independently), each
+by a row test built once per formula and team variables, which decides a
+literal over variables by column lookups alone (P(y) on X: is the
+y-projection of every row in P?) and anything else by the Tarskian
+evaluator; the empty team satisfies every formula without running a clause;
 existential blocks over conjunctions of first-order / inclusion /
 unconditional-independence / constancy conjuncts are solved by a dedicated
 branch-and-delete search whose witnesses are always re-verified literally;
@@ -12,9 +16,11 @@ does not mention x, and is false if one fails (justified by locality: ci
 sees X[F/x] exactly as it sees X; the locality suite checks this property
 independently, on the literal evaluator).
 The literal mode (literal=True) implements the defining clauses directly
-(cover enumeration for split disjunction, per-row supplement-function search
-for the existential quantifier) and is what the clause-conformance property
-suites run against.
+(Tarskian evaluation of each assignment for first-order literals, cover
+enumeration for split disjunction, per-row supplement-function search for
+the existential quantifier, every clause on the empty team too) and is what
+the clause-conformance property suites run against; it is the oracle of the
+row tests.
 """
 
 import itertools
@@ -110,20 +116,25 @@ class Evaluator:
         self.budget = budget or EvalBudget()
         self.literal = literal
         self._memo = {}
+        self._free_names = {}  # phi -> names of its free variables
+        self._prepared = {}  # (phi, team variables) -> see _prepare
 
     # -- public ---------------------------------------------------------------
 
     def eval(self, X, phi):
-        missing = {v.name for v in free_vars(phi)} - set(X.vars)
-        if missing:
+        names = self._free_names.get(phi)
+        if names is None:
+            names = self._free_names[phi] = frozenset(v.name for v in free_vars(phi))
+        if not names.issubset(X.vars):
+            missing = names.difference(X.vars)
             raise EvalError("free variables %s not in team domain" % sorted(missing))
         return self._eval(X, phi)
 
     # -- dispatch -------------------------------------------------------------
 
     def _eval(self, X, phi):
-        if X.is_empty():
-            return True  # empty team property, including the WNeg clause
+        if X.is_empty() and not self.literal:
+            return True  # empty team property; literal mode runs the clauses
         key = (phi, X)
         hit = self._memo.get(key)
         if hit is not None:
@@ -134,12 +145,11 @@ class Evaluator:
 
     def _eval_uncached(self, X, phi):
         if not self.literal and is_first_order(phi):
-            return all(eval_single(self.model, dict(zip(X.vars, r)), phi)
-                       for r in X.rows)
+            return all(map(self._prepare(phi, X), X.rows))
         if isinstance(phi, (FOAtom, NegFOAtom, Eq, NegEq, SeqEq, SeqNeq, Implies, Top)):
             return all(eval_single(self.model, s, phi) for s in X.assignments())
         if isinstance(phi, Bot):
-            return False  # X is nonempty here
+            return X.is_empty()
         if isinstance(phi, Dep):
             return self._eval_dep(X, phi)
         if isinstance(phi, Ind):
@@ -169,13 +179,24 @@ class Evaluator:
             return all(self._eval(_assign_const(X, phi.v.name, a), phi.body)
                        for a in self.model.domain)
         if isinstance(phi, WNeg):
-            return not self._eval(X, phi.body)
+            return X.is_empty() or not self._eval(X, phi.body)
         raise EvalError("cannot evaluate %r" % (phi,))
+
+    def _prepare(self, phi, X):
+        """What evaluating phi on X needs that does not depend on its rows,
+        built once per (phi, X.vars): for a first-order phi a row test
+        (flatness: phi holds on a team iff it holds on every row), for a
+        dep/ind/inc atom its row projections."""
+        key = (phi, X.vars)
+        got = self._prepared.get(key)
+        if got is None:
+            got = self._prepared[key] = _prepare_uncached(self.model, phi, X)
+        return got
 
     # -- atoms ----------------------------------------------------------------
 
     def _eval_dep(self, X, phi):
-        key, val = _key(X, phi.determiners), _key(X, phi.dependent)
+        key, val = self._prepare(phi, X)
         seen = {}
         for r in X.rows:
             v = val(r)
@@ -184,7 +205,7 @@ class Evaluator:
         return True
 
     def _eval_ind(self, X, phi):
-        zkey, xkey, ykey = _key(X, phi.zs), _key(X, phi.xs), _key(X, phi.ys)
+        xkey, zkey, ykey = self._prepare(phi, X)
         classes = {}
         for r in X.rows:
             z = zkey(r)
@@ -199,8 +220,8 @@ class Evaluator:
         return all(len(A) * len(B) == len(P) for A, B, P in classes.values())
 
     def _eval_inc(self, X, phi):
-        have = set(map(_key(X, phi.ys), X.rows))
-        return have.issuperset(map(_key(X, phi.xs), X.rows))
+        xkey, ykey = self._prepare(phi, X)
+        return set(map(ykey, X.rows)).issuperset(map(xkey, X.rows))
 
     # -- split disjunction ----------------------------------------------------
 
@@ -210,9 +231,10 @@ class Evaluator:
         if not self.literal:
             for fo_side, other in ((phi.l, phi.r), (phi.r, phi.l)):
                 if is_first_order(fo_side):
-                    passing = [r for r in rows
-                               if eval_single(self.model, dict(zip(X.vars, r)), fo_side)]
-                    forced = [r for r in rows if r not in set(passing)]
+                    test = self._prepare(fo_side, X)
+                    passing, forced = [], []
+                    for r in rows:
+                        (passing if test(r) else forced).append(r)
                     if len(passing) > self.budget.max_split_rows:
                         break  # fall through to the generic search budget check
                     for k in range(len(passing) + 1):
@@ -441,6 +463,37 @@ def _collect_block(phi, team_vars):
                     changed = True
                     break
     return bound, conjuncts
+
+
+def _prepare_uncached(model, phi, X):
+    if isinstance(phi, Dep):
+        return _key(X, phi.determiners), _key(X, phi.dependent)
+    if isinstance(phi, Ind):
+        return _key(X, phi.xs), _key(X, phi.zs), _key(X, phi.ys)
+    if isinstance(phi, Inc):
+        return _key(X, phi.xs), _key(X, phi.ys)
+    if isinstance(phi, (FOAtom, NegFOAtom)) and _team_vars_only(X, phi.args):
+        holds = model.rel(phi.rel)
+        if len(phi.args) == 1:
+            i = X.column(phi.args[0].name)
+            if isinstance(phi, FOAtom):
+                return lambda r: (r[i],) in holds
+            return lambda r: (r[i],) not in holds
+        get = _key(X, phi.args)
+        if isinstance(phi, FOAtom):
+            return lambda r: get(r) in holds
+        return lambda r: get(r) not in holds
+    if isinstance(phi, (Eq, NegEq)) and _team_vars_only(X, (phi.lhs, phi.rhs)):
+        i, j = X.column(phi.lhs.name), X.column(phi.rhs.name)
+        if isinstance(phi, Eq):
+            return lambda r: r[i] == r[j]
+        return lambda r: r[i] != r[j]
+    vs = X.vars
+    return lambda r: eval_single(model, dict(zip(vs, r)), phi)
+
+
+def _team_vars_only(X, terms):
+    return all(isinstance(t, Var) and t.name in X.vars for t in terms)
 
 
 def _key(X, variables):

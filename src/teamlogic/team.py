@@ -32,7 +32,6 @@ class Team:
         if bad:
             raise TeamError("row length %d does not match %d variables" % (min(bad), n))
         self.rows = rows
-        self._index = {v: i for i, v in enumerate(self.vars)}
 
     def __len__(self):
         return len(self.rows)
@@ -51,9 +50,10 @@ class Team:
         return not self.rows
 
     def column(self, var):
-        if var not in self._index:
-            raise TeamError("unknown variable %s" % var)
-        return self._index[var]
+        try:
+            return self.vars.index(var)
+        except ValueError:
+            raise TeamError("unknown variable %s" % var) from None
 
     def assignments(self):
         """Rows as dicts variable -> value."""
@@ -130,10 +130,10 @@ def sample_teams(model, variables, count, seed):
     """Pseudo-random teams: each assignment is included independently with
     probability 1/2.  Reproducible from the seed."""
     variables = tuple(variables)
-    rng = random.Random(seed)
+    draw = random.Random(seed).random
     space = sorted(itertools.product(model.domain, repeat=len(variables)))
     for _ in range(count):
-        yield Team(variables, [row for row in space if rng.random() < 0.5])
+        yield Team(variables, [row for row in space if draw() < 0.5])
 
 
 def sample_small_teams(model, variables, count, max_rows, seed):

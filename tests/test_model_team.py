@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from teamlogic.model import (Model, ModelError, Signature, enumerate_models,
                              expand_with_relation, parse_model, print_model)
@@ -143,3 +144,54 @@ def test_sample_teams_reproducible():
 def test_team_print_parse_round_trip():
     X = Team(("x", "y"), [("0", "1"), ("1", "1")])
     assert parse_team(print_team(X)) == X
+
+
+def test_team_column():
+    X = Team(("x", "y"), [("0", "1")])
+    assert (X.column("x"), X.column("y")) == (0, 1)
+    with pytest.raises(TeamError, match="unknown variable z"):
+        X.column("z")
+    with pytest.raises(TeamError, match="unknown variable x"):
+        Team((), [()]).column("x")
+
+
+def test_sample_teams_keeps_its_sequence():
+    got = [sorted(X.rows) for X in sample_teams(m2(), ("x", "y"), 4, seed=7)]
+    assert got == [[("0", "0"), ("0", "1"), ("1", "1")],
+                   [("0", "1"), ("1", "0")],
+                   [("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")],
+                   [("0", "0"), ("1", "0"), ("1", "1")]]
+    got = [sorted(X.rows) for X in sample_teams(Model(("a", "b", "c")), ("x",), 3, seed=2024)]
+    assert got == [[("a",), ("c",)], [("b",)], [("a",), ("b",)]]
+
+
+def test_parse_model_rejects_repeated_and_outside_constants():
+    with pytest.raises(ModelError, match="constant c declared twice"):
+        parse_model("domain a b\nconst c a\nconst c b\n")
+    with pytest.raises(ModelError, match="constant c declared twice"):
+        parse_model("domain a b\nconst c a\nconst c a\n")
+    with pytest.raises(ModelError, match="constant c interpreted outside domain"):
+        parse_model("domain a b\nconst c z\n")
+    assert parse_model("domain a b\nconst c b\nconst d a\n").consts == {"c": "b", "d": "a"}
+
+
+_team_values = st.sampled_from(["0", "1", "a", "e2"])
+
+
+@st.composite
+def _teams(draw):
+    variables = draw(st.lists(st.sampled_from(["x", "y", "z", "u$1", "w"]),
+                              max_size=3, unique=True))
+    row = st.tuples(*[_team_values] * len(variables))
+    return Team(variables, draw(st.lists(row, max_size=8)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_teams())
+@example(Team(("x", "y"), []))
+@example(Team((), []))
+@example(Team((), [()]))
+def test_team_print_then_parse_is_the_identity(X):
+    text = print_team(X)
+    assert parse_team(text) == X
+    assert print_team(parse_team(text)) == text

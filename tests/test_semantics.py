@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 import oracle_atoms
 from teamlogic.checks import default_model, gen_downward, gen_fo
-from teamlogic.formula import (And, BoolOr, Bot, Dep, Eq, Exists, Exists1,
-                               FOAtom, Forall, Forall1, Inc, Ind, NegEq,
-                               SplitOr, Top, Var, WNeg, free_vars)
+from teamlogic.formula import (And, BoolOr, Bot, Const, Dep, Eq, Exists,
+                               Exists1, FOAtom, Forall, Forall1, Inc, Ind,
+                               NegEq, NegFOAtom, SplitOr, Top, Var, WNeg,
+                               free_vars)
 from teamlogic.semantics import (BudgetExceeded, EvalBudget, eval_formula,
                                  eval_single)
 from teamlogic.model import Model
@@ -256,3 +257,110 @@ def test_atom_clauses_agree_with_the_oracle(atom, domain, literal, data):
     X = Team(_ATOM_VARS, rows)
     assert (eval_formula(Model(domain), X, _as_formula(atom), literal=literal)
             == _oracle(atom, rows))
+
+
+# --- row tests against the literal evaluator -----------------------------------
+
+c = Const("c")
+M_ROWS = Model(("0", "1"),
+               {"T": [()], "P": [("1",)], "R": [("0", "1"), ("1", "1")],
+                "S": [("0", "0", "1"), ("1", "0", "1"), ("1", "1", "1")]},
+               {"c": "1"})
+M_ROWS_ARITY = {"T": 0, "P": 1, "R": 2, "S": 3}
+_terms = st.sampled_from([x, y, z, c])
+
+
+@st.composite
+def _literal(draw):
+    if draw(st.booleans()):
+        rel = draw(st.sampled_from(sorted(M_ROWS_ARITY)))
+        args = draw(st.lists(_terms, min_size=M_ROWS_ARITY[rel],
+                             max_size=M_ROWS_ARITY[rel]))
+        return draw(st.sampled_from([FOAtom, NegFOAtom]))(rel, tuple(args))
+    return draw(st.sampled_from([Eq, NegEq]))(draw(_terms), draw(_terms))
+
+
+# A literal under a non-first-order parent is decided by its own row test; a
+# first-order parent is decided by the Tarskian evaluator instead.
+_SHAPES = [
+    lambda a, b, g, v: a,
+    lambda a, b, g, v: And(a, g),
+    lambda a, b, g, v: And(g, And(a, b)),
+    lambda a, b, g, v: SplitOr(a, g),
+    lambda a, b, g, v: SplitOr(g, a),
+    lambda a, b, g, v: SplitOr(a, b),
+    lambda a, b, g, v: Exists(v, And(a, g)),
+    lambda a, b, g, v: Exists(v, SplitOr(g, a)),
+    lambda a, b, g, v: Forall(v, And(g, a)),
+    lambda a, b, g, v: Forall(v, SplitOr(a, And(b, g))),
+]
+_nested = st.builds(
+    lambda shape, *parts: shape(*parts), st.sampled_from(_SHAPES),
+    _literal(), _literal(),
+    st.sampled_from([Dep((), (x,)), Dep((y,), (z,)), Inc((x,), (y,))]),
+    st.sampled_from([y, z]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_nested, st.sets(st.tuples(*[st.sampled_from(M_ROWS.domain)] * 3),
+                        min_size=1, max_size=3))
+def test_row_tests_agree_with_literal(phi, rows):
+    """FO literals of arity 0-3 over variables, constants and repeated
+    variables, alone and nested: the default mode's row tests against the
+    per-assignment Tarskian clauses of the literal mode."""
+    X = Team(("x", "y", "z"), rows)
+    assert eval_formula(M_ROWS, X, phi) == eval_formula(M_ROWS, X, phi, literal=True)
+
+
+def test_row_tests_cover_every_literal_shape():
+    X = Team(("x", "y"), [("0", "1"), ("1", "1")])
+    cases = [(FOAtom("T", ()), True), (NegFOAtom("T", ()), False),
+             (FOAtom("P", (y,)), True), (NegFOAtom("P", (x,)), False),
+             (FOAtom("R", (x, y)), True), (FOAtom("R", (y, y)), True),
+             (NegFOAtom("R", (y, x)), False), (FOAtom("S", (x, x, y)), True),
+             (FOAtom("S", (x, y, x)), False),
+             (FOAtom("P", (c,)), True), (FOAtom("R", (x, c)), True),
+             (Eq(x, y), False), (NegEq(x, y), False), (Eq(y, y), True),
+             (Eq(y, c), True), (NegEq(x, c), False), (Eq(c, c), True)]
+    for phi, want in cases:
+        for literal in (False, True):
+            assert eval_formula(M_ROWS, X, phi, literal=literal) is want, (phi, literal)
+        # a first-order side of a split disjunction filters rows by its test
+        assert eval_formula(M_ROWS, X, SplitOr(phi, Dep((), (x,)))) == eval_formula(
+            M_ROWS, X, SplitOr(phi, Dep((), (x,))), literal=True)
+
+
+def test_precondition_is_checked_on_every_team():
+    from teamlogic.semantics import EvalError, Evaluator
+    ev = Evaluator(M)
+    phi = Eq(x, y)
+    with_y, without_y = Team(("x", "y"), [("0", "0")]), Team(("x",), [("0",)])
+    message = r"free variables \['y'\] not in team domain"
+    assert ev.eval(with_y, phi)
+    with pytest.raises(EvalError, match=message):
+        ev.eval(without_y, phi)
+    with pytest.raises(EvalError, match=message):
+        ev.eval(Team(("x",), []), phi)
+    assert ev.eval(with_y, phi)
+    # the other order: a refusal is not remembered either
+    ev = Evaluator(M)
+    with pytest.raises(EvalError, match=message):
+        ev.eval(without_y, phi)
+    assert ev.eval(with_y, phi)
+
+
+def test_literal_mode_runs_every_clause_on_the_empty_team():
+    """The default mode answers the empty team by a shortcut (see
+    test_empty_team_satisfies_everything); the literal mode runs each clause
+    on zero rows, bot and ~ by their empty-team conditions."""
+    empty = Team(("x", "y"), [])
+    for phi in (Bot(), Top(), WNeg(Top()), WNeg(Bot()), WNeg(WNeg(Bot())),
+                Dep((x,), (y,)), Ind((x,), (), (y,)), Inc((x,), (y,)),
+                NegEq(x, x), And(Bot(), WNeg(Top())), BoolOr(Bot(), Bot()),
+                SplitOr(Bot(), Bot()), Exists(z, Bot()), Forall(z, Bot()),
+                Exists1(z, Bot()), Forall1(z, WNeg(Top()))):
+        assert eval_formula(M, empty, phi, literal=True), phi
+    X = Team(("x", "y"), [("0", "0")])
+    assert not eval_formula(M, X, Bot(), literal=True)
+    assert not eval_formula(M, X, WNeg(Top()), literal=True)
+    assert eval_formula(M, X, WNeg(Bot()), literal=True)
