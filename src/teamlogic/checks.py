@@ -327,8 +327,8 @@ def suite_atom_complement(seed=0, runs=30, model=None):
             teams = [_random_team(rng, model, vs, max_rows=4) for _ in range(runs)]
         for X in teams:
             total += 1
-            lhs = eval_formula(model, X, WNeg(native))
-            rhs = X.is_empty() or eval_direct(model, X, co, [Var(v) for v in vs])
+            lhs = eval_formula(model, X, WNeg(native), literal=True)
+            rhs = eval_direct(model, X, co, [Var(v) for v in vs])
             if lhs != rhs:
                 failures.append("%s on %r: wneg=%s complement=%s"
                                 % (d.name, X, lhs, rhs))

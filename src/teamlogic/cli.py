@@ -13,6 +13,7 @@ parse errors.
 """
 
 import argparse
+import collections
 import functools
 import sys
 
@@ -138,12 +139,14 @@ def cmd_translate(args):
 def cmd_prove(args):
     script = parse_proof(_read(args.script))
     verdict = check_proof(script, registry=register_builtin_atoms())
+    rules = collections.Counter(st.rule for st in script.steps.values())
+    steps = [("rule_" + rule, n) for rule, n in sorted(rules.items())]
     if verdict:
-        _emit(args.machine, "ACCEPTED", [("result", "accepted")])
+        _emit(args.machine, "ACCEPTED", [("result", "accepted")] + steps)
         return 0
     _emit(args.machine, "REJECTED at step %s: %s" % (verdict.step, verdict.reason),
           [("result", "rejected"), ("step", verdict.step),
-           ("reason", verdict.reason)])
+           ("reason", verdict.reason)] + steps)
     return 1
 
 

@@ -3,6 +3,9 @@ a counterexample.  A positive answer is only ever "valid up to the bound";
 a counterexample is conclusive and is reported with its witness.
 """
 
+import copy
+import itertools
+
 from .formula import Const, FOAtom, NegFOAtom, free_vars
 from .model import Signature, enumerate_models
 from .semantics import EvalBudget, Evaluator
@@ -61,6 +64,10 @@ def entails_bounded(hypotheses, conclusion, max_domain=2, team_cap=16,
     random teams when the exhaustive space exceeds team_cap assignments, or
     always when samples > 0 and the space is large).
 
+    The teams depend on the domain only, so the models of one domain size
+    share them: the first model draws sampled teams lazily, up to a
+    counterexample, and the later ones replay the drawn teams and draw on.
+
     `searched` counts the models and teams tried, in total and, under
     "by_size", per domain size, where "sampled" says whether that size's
     teams were sampled rather than enumerated."""
@@ -71,24 +78,32 @@ def entails_bounded(hypotheses, conclusion, max_domain=2, team_cap=16,
     n_models = n_teams = 0
     notes = []
     by_size = {}
+    shared = {}  # domain -> (teams, sampled)
     for model in enumerate_models(sig, max_domain):
         n_models += 1
         size = by_size.setdefault(len(model.domain),
                                   {"models": 0, "teams": 0, "sampled": False})
         size["models"] += 1
-        ev = Evaluator(model, registry, budget)
-        try:
-            teams = list(all_teams(model, variables, cap=team_cap))
-        except TeamCapExceeded:
-            count = samples or 1000
-            if max_rows is not None:
-                teams = sample_small_teams(model, variables, count, max_rows, seed)
-            else:
-                teams = sample_teams(model, variables, count, seed)
+        if model.domain not in shared:
+            try:
+                teams, sampled = list(all_teams(model, variables, cap=team_cap)), False
+            except TeamCapExceeded:
+                count = samples or 1000
+                if max_rows is not None:
+                    teams = sample_small_teams(model, variables, count, max_rows, seed)
+                else:
+                    teams = sample_teams(model, variables, count, seed)
+                sampled = True
+            shared[model.domain] = itertools.tee(teams, 1)[0], sampled
+        teams, sampled = shared[model.domain]
+        if sampled:
             size["sampled"] = True
             if "sampled teams" not in notes:
                 notes.append("sampled teams")
-        for X in teams:
+        ev = Evaluator(model, registry, budget)
+        # the shared tee iterator is never advanced: a copy of it starts at
+        # the first team and shares the buffer of the teams drawn so far
+        for X in copy.copy(teams):
             n_teams += 1
             size["teams"] += 1
             if all(ev.eval(X, h) for h in hypotheses) and not ev.eval(X, conclusion):
@@ -100,3 +115,4 @@ def entails_bounded(hypotheses, conclusion, max_domain=2, team_cap=16,
         VALID_UP_TO_BOUND, None,
         {"models": n_models, "teams": n_teams, "notes": notes,
          "by_size": by_size})
+

@@ -1,13 +1,17 @@
 """The team-semantics evaluator (lax semantics) plus a Tarskian evaluator
 for first-order formulas on single assignments.
 
-Two evaluation modes exist.  The default mode is exact and uses four sound
-accelerations: first-order subformulas are evaluated rowwise (justified by
-the flatness property, which the check suites verify independently), each
-by a row test built once per formula and team variables, which decides a
-literal over variables by column lookups alone (P(y) on X: is the
-y-projection of every row in P?) and anything else by the Tarskian
-evaluator; the empty team satisfies every formula without running a clause;
+Two evaluation modes exist.  The default mode is exact and uses five sound
+accelerations: Evaluator.eval resolves each formula, once per team
+variables, to a team test that runs a dep/ind/inc clause or the row test of
+a first-order literal straight on the rows, without the memo or the
+empty-team shortcut (each holds on the empty team by itself); first-order
+subformulas are evaluated rowwise (justified by the flatness property, which
+the check suites verify independently), each by a row test built once per
+formula and team variables, which decides a literal over variables by
+column lookups alone (P(y) on X: is the y-projection of every row in P?)
+and anything else by the Tarskian evaluator; the empty team satisfies every
+formula without running a clause;
 existential blocks over conjunctions of first-order / inclusion /
 unconditional-independence / constancy conjuncts are solved by a dedicated
 branch-and-delete search whose witnesses are always re-verified literally;
@@ -109,6 +113,9 @@ def _nonempty_subsets(domain):
     return out
 
 
+_UNBUILT = object()  # no team test built yet for a (phi, team variables)
+
+
 class Evaluator:
     def __init__(self, model, registry=None, budget=None, literal=False):
         self.model = model
@@ -116,19 +123,42 @@ class Evaluator:
         self.budget = budget or EvalBudget()
         self.literal = literal
         self._memo = {}
-        self._free_names = {}  # phi -> names of its free variables
+        self._tests = {}  # (phi, team variables) -> see _team_test
         self._prepared = {}  # (phi, team variables) -> see _prepare
 
     # -- public ---------------------------------------------------------------
 
     def eval(self, X, phi):
-        names = self._free_names.get(phi)
-        if names is None:
-            names = self._free_names[phi] = frozenset(v.name for v in free_vars(phi))
-        if not names.issubset(X.vars):
-            missing = names.difference(X.vars)
+        key = (phi, X.vars)
+        test = self._tests.get(key, _UNBUILT)
+        if test is _UNBUILT:
+            test = self._tests[key] = self._team_test(phi, X)
+        return self._eval(X, phi) if test is None else test(X)
+
+    def _team_test(self, phi, X):
+        """The test eval runs on every team over X.vars, built once per
+        (phi, X.vars) after the free-variable precondition.  In the default
+        mode a dep/ind/inc atom runs its clause on the rows and a first-order
+        literal its row test on every row (flatness); each holds on the empty
+        team by itself, so neither needs the memo or the empty-team
+        shortcut.  Anything else gets None and goes through _eval, which
+        decides compound first-order formulas rowwise too (asking
+        is_first_order here would walk every such formula twice, and
+        eval_formula builds a new evaluator for each call).  A test that
+        called self._eval would hold the evaluator in a reference cycle and
+        keep its memo alive until the cycle collector runs."""
+        missing = {v.name for v in free_vars(phi)}.difference(X.vars)
+        if missing:
             raise EvalError("free variables %s not in team domain" % sorted(missing))
-        return self._eval(X, phi)
+        if not self.literal:
+            clause = _ATOM_CLAUSES.get(type(phi))
+            if clause is not None:
+                keys = self._prepare(phi, X)
+                return lambda Y: clause(Y, keys)
+            if type(phi) in _LITERALS:
+                row_test = self._prepare(phi, X)
+                return lambda Y: all(map(row_test, Y.rows))
+        return None
 
     # -- dispatch -------------------------------------------------------------
 
@@ -150,12 +180,9 @@ class Evaluator:
             return all(eval_single(self.model, s, phi) for s in X.assignments())
         if isinstance(phi, Bot):
             return X.is_empty()
-        if isinstance(phi, Dep):
-            return self._eval_dep(X, phi)
-        if isinstance(phi, Ind):
-            return self._eval_ind(X, phi)
-        if isinstance(phi, Inc):
-            return self._eval_inc(X, phi)
+        clause = _ATOM_CLAUSES.get(type(phi))
+        if clause is not None:
+            return clause(X, self._prepare(phi, X))
         if isinstance(phi, Gen):
             from .genatom import eval_direct
             if phi.atom_name not in self.registry:
@@ -192,36 +219,6 @@ class Evaluator:
         if got is None:
             got = self._prepared[key] = _prepare_uncached(self.model, phi, X)
         return got
-
-    # -- atoms ----------------------------------------------------------------
-
-    def _eval_dep(self, X, phi):
-        key, val = self._prepare(phi, X)
-        seen = {}
-        for r in X.rows:
-            v = val(r)
-            if seen.setdefault(key(r), v) != v:
-                return False
-        return True
-
-    def _eval_ind(self, X, phi):
-        xkey, zkey, ykey = self._prepare(phi, X)
-        classes = {}
-        for r in X.rows:
-            z = zkey(r)
-            c = classes.get(z)
-            if c is None:
-                c = classes[z] = (set(), set(), set())
-            a, b = xkey(r), ykey(r)
-            c[0].add(a)
-            c[1].add(b)
-            c[2].add((a, b))
-        # the atom holds iff every z-class is the product of its x- and y-values
-        return all(len(A) * len(B) == len(P) for A, B, P in classes.values())
-
-    def _eval_inc(self, X, phi):
-        xkey, ykey = self._prepare(phi, X)
-        return set(map(ykey, X.rows)).issuperset(map(xkey, X.rows))
 
     # -- split disjunction ----------------------------------------------------
 
@@ -426,6 +423,44 @@ class Evaluator:
         covered = {tuple(row[i] for i in base_cols) for row in Y.rows}
         if covered != needed:
             raise AssertionError("block solver witness does not cover the team")
+
+
+# -- atoms --------------------------------------------------------------------
+# Each clause takes the team and the row projections _prepare built for it.
+
+def _dep_holds(X, keys):
+    key, val = keys
+    seen = {}
+    for r in X.rows:
+        v = val(r)
+        if seen.setdefault(key(r), v) != v:
+            return False
+    return True
+
+
+def _ind_holds(X, keys):
+    xkey, zkey, ykey = keys
+    classes = {}
+    for r in X.rows:
+        z = zkey(r)
+        c = classes.get(z)
+        if c is None:
+            c = classes[z] = (set(), set(), set())
+        a, b = xkey(r), ykey(r)
+        c[0].add(a)
+        c[1].add(b)
+        c[2].add((a, b))
+    # the atom holds iff every z-class is the product of its x- and y-values
+    return all(len(A) * len(B) == len(P) for A, B, P in classes.values())
+
+
+def _inc_holds(X, keys):
+    xkey, ykey = keys
+    return set(map(ykey, X.rows)).issuperset(map(xkey, X.rows))
+
+
+_ATOM_CLAUSES = {Dep: _dep_holds, Ind: _ind_holds, Inc: _inc_holds}
+_LITERALS = frozenset((FOAtom, NegFOAtom, Eq, NegEq))
 
 
 def _collect_block(phi, team_vars):

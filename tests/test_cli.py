@@ -83,6 +83,19 @@ def test_prove(files, capsys):
     assert "REJECTED at step 1" in capsys.readouterr().out
 
 
+def test_prove_machine_counts_steps_per_rule(files, capsys):
+    script = str(REPO / "proofs" / "ind_symmetry.prf")
+    assert main(["--machine", "prove", "--script", script]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "result=accepted", "rule_AndE=10", "rule_ExE=3", "rule_FO=1",
+        "rule_IncCmp=1", "rule_IncPro=3", "rule_IncTrs=1", "rule_IndE=1",
+        "rule_WNegE=1", "rule_assume=4", "rule_premise=1"]
+    assert main(["prove", "--script", script]) == 0
+    assert capsys.readouterr().out == "ACCEPTED\n"
+    bad = files("bad.prf", "1. x = x ; EqRefl\n2. x = y ; EqRefl\n3. y = y ; EqRefl\n")
+    assert main(["prove", "--script", bad, "--machine"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1:] == ["rule_EqRefl=3"]
+
 def test_props_single_suite_machine(capsys):
     rc = main(["--machine", "props", "--suite", "flatness", "--samples", "5"])
     assert rc == 0

@@ -1,3 +1,5 @@
+import pytest
+
 from teamlogic.entailment import (EntailmentVerdict, entails_bounded,
                                   mentioned_signature)
 from teamlogic.formula import (Const, Dep, Eq, Exists, FOAtom, Inc, Ind, Var,
@@ -83,3 +85,85 @@ def test_search_is_reported_per_domain_size():
     v = entails_bounded([Dep((x,), (y,))], Dep((y,), (x,)))
     assert not v
     assert sum(d["teams"] for d in v.searched["by_size"].values()) == v.searched["teams"]
+
+
+# --- shared teams against a per-model literal reference ------------------------
+
+def _reference(hypotheses, conclusion, max_domain, team_cap, samples, seed):
+    """What entails_bounded answers, with the teams rebuilt for every model
+    and every formula evaluated by the literal evaluator."""
+    from teamlogic.model import enumerate_models
+    from teamlogic.team import all_teams, sample_teams
+    formulas = hypotheses + [conclusion]
+    variables = sorted({v.name for phi in formulas for v in free_vars(phi)})
+    n_models = n_teams = 0
+    by_size = {}
+    for model in enumerate_models(mentioned_signature(formulas), max_domain):
+        n_models += 1
+        size = by_size.setdefault(len(model.domain),
+                                  {"models": 0, "teams": 0, "sampled": False})
+        size["models"] += 1
+        if len(model.domain) ** len(variables) <= team_cap:
+            teams = all_teams(model, variables, cap=team_cap)
+        else:
+            teams = sample_teams(model, variables, samples, seed)
+            size["sampled"] = True
+        for X in teams:
+            n_teams += 1
+            size["teams"] += 1
+            if (all(eval_formula(model, X, h, literal=True) for h in hypotheses)
+                    and not eval_formula(model, X, conclusion, literal=True)):
+                return "Counterexample", (model, X), n_models, n_teams, by_size
+    return "ValidUpToBound", None, n_models, n_teams, by_size
+
+
+@pytest.mark.parametrize("hyps, concl", [
+    (["P(x)", "inc(y,z ; x,z)"], "P(y)"),
+    (["P(x)", "inc(x,z ; y,z)"], "P(y)"),
+    (["P(x)", "inc(y ; x)"], "P(y)"),
+    (["!P(x)", "inc(y ; x)", "=(z ; y)"], "!P(y)"),
+    (["P(x)"], "=(x ; y)"),
+])
+@pytest.mark.parametrize("max_domain", [2, 3])
+@pytest.mark.parametrize("team_cap", [9, 0])  # exhaustive up to 9 assignments; all sampled
+def test_shared_teams_match_a_per_model_literal_search(hyps, concl, max_domain, team_cap):
+    hs, c = [parse_formula(h) for h in hyps], parse_formula(concl)
+    v = entails_bounded(hs, c, max_domain=max_domain, team_cap=team_cap,
+                        samples=40, seed=5)
+    status, witness, models, teams, by_size = _reference(
+        hs, c, max_domain, team_cap, 40, 5)
+    assert (v.status, v.witness) == (status, witness)
+    assert (v.searched["models"], v.searched["teams"]) == (models, teams)
+    assert v.searched["by_size"] == by_size
+
+
+def _count_draws(monkeypatch):
+    from teamlogic import entailment
+    calls, drawn = [], []
+    real = entailment.sample_teams
+
+    def counting(*args):
+        calls.append(args)
+        for X in real(*args):
+            drawn.append(X)
+            yield X
+    monkeypatch.setattr(entailment, "sample_teams", counting)
+    return calls, drawn
+
+
+def test_a_counterexample_at_the_first_sampled_team_draws_one_team(monkeypatch):
+    from teamlogic.formula import NegEq
+    calls, drawn = _count_draws(monkeypatch)
+    # at seed 1 the first sampled team holds the one assignment of domain size 1
+    v = entails_bounded([], NegEq(x, x), max_domain=2, team_cap=0, samples=100, seed=1)
+    assert v.status == "Counterexample" and v.witness[1] == drawn[0]
+    assert (len(calls), len(drawn), v.searched["teams"]) == (1, 1, 1)
+
+
+def test_models_of_one_domain_size_draw_their_teams_once(monkeypatch):
+    calls, drawn = _count_draws(monkeypatch)
+    p = FOAtom("P", (x,))
+    v = entails_bounded([p], p, max_domain=2, team_cap=0, samples=5, seed=3)
+    assert v.searched["by_size"] == {1: {"models": 2, "teams": 10, "sampled": True},
+                                     2: {"models": 4, "teams": 20, "sampled": True}}
+    assert len(calls) == 2 and len(drawn) == 10

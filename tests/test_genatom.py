@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from teamlogic.checks import default_model
 from teamlogic.formula import And, Eq, FOAtom, Inc, Var, free_vars
@@ -147,6 +148,23 @@ def test_atom_def_round_trip():
             (d.name, d.polarity, d.n, d.k, d.m)
         assert d2.phiR == d.phiR
 
+
+_DEFS = st.one_of(st.builds(make_dep, st.integers(1, 3)),
+                  st.builds(make_inc, st.integers(1, 3)),
+                  st.builds(make_ind, st.integers(1, 2), st.integers(1, 2),
+                            st.integers(0, 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_DEFS, st.booleans())
+def test_atom_def_print_then_parse_is_the_identity(d, co):
+    """Every builtin construction and its complement round-trip through the
+    two-line atom definition format."""
+    if co:
+        d = complement(d)
+    d2 = parse_atom_def(print_atom_def(d))
+    assert (d2.name, d2.polarity, d2.n, d2.k, d2.m, d2.phiR) == \
+        (d.name, d.polarity, d.n, d.k, d.m, d.phiR)
 
 def test_atom_def_parse_errors():
     with pytest.raises(AtomDefError):

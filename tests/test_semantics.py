@@ -347,6 +347,16 @@ def test_precondition_is_checked_on_every_team():
     with pytest.raises(EvalError, match=message):
         ev.eval(without_y, phi)
     assert ev.eval(with_y, phi)
+    # every kind of team test, once built, still refuses a team without y
+    for phi in (Dep((x,), (y,)), Ind((x,), (), (y,)), Inc((y,), (x,)),
+                FOAtom("P", (y,)), And(FOAtom("P", (x,)), Eq(x, y)),
+                Exists(z, Inc((z,), (y,))), SplitOr(Eq(x, y), Dep((), (y,)))):
+        for literal in (False, True):
+            ev = Evaluator(M, literal=literal)
+            ev.eval(with_y, phi)
+            for X in (without_y, Team(("x",), []), Team(("x", "z"), [])):
+                with pytest.raises(EvalError, match=message):
+                    ev.eval(X, phi)
 
 
 def test_literal_mode_runs_every_clause_on_the_empty_team():
@@ -364,3 +374,68 @@ def test_literal_mode_runs_every_clause_on_the_empty_team():
     assert not eval_formula(M, X, Bot(), literal=True)
     assert not eval_formula(M, X, WNeg(Top()), literal=True)
     assert eval_formula(M, X, WNeg(Bot()), literal=True)
+
+
+# --- team tests through Evaluator.eval -----------------------------------------
+
+_leaf_vars = st.lists(st.sampled_from([x, y, z]), max_size=2).map(tuple)
+
+
+@st.composite
+def _leaf(draw):
+    kind = draw(st.sampled_from(["dep", "ind", "inc", "fo"]))
+    if kind == "dep":
+        return Dep(draw(_leaf_vars), draw(st.lists(st.sampled_from([x, y, z]),
+                                                   min_size=1, max_size=2).map(tuple)))
+    if kind == "ind":
+        return Ind(draw(_leaf_vars), draw(_leaf_vars), draw(_leaf_vars))
+    if kind == "inc":
+        xs = draw(_leaf_vars)
+        return Inc(xs, draw(st.lists(st.sampled_from([x, y, z]), min_size=len(xs),
+                                     max_size=len(xs)).map(tuple)))
+    return draw(st.one_of(_literal(), st.builds(And, _literal(), _literal()),
+                          st.builds(Exists, st.sampled_from([x, y]), _literal())))
+
+
+# the same variables in other column orders, with and without an extra one
+_TEAM_VARS = [("x", "y", "z"), ("z", "x", "y"), ("y", "z", "x", "w"),
+              ("w", "z", "y", "x")]
+
+
+@st.composite
+def _teams(draw):
+    vs = draw(st.sampled_from(_TEAM_VARS))
+    row = st.tuples(*[st.sampled_from(M_ROWS.domain)] * len(vs))
+    return Team(vs, draw(st.sets(row, max_size=8)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_leaf(), min_size=1, max_size=4), st.lists(_teams(), min_size=1, max_size=6))
+def test_team_tests_agree_with_literal(leaves, teams):
+    """dep/ind/inc and first-order leaves on teams of 0-8 rows, asked of one
+    default-mode evaluator across teams whose variables come in different
+    orders: each (leaf, team variables) gets its own team test."""
+    from teamlogic.semantics import Evaluator
+    default, literal = Evaluator(M_ROWS), Evaluator(M_ROWS, literal=True)
+    for X in teams + [Team(teams[0].vars, [])]:
+        for phi in leaves:
+            assert default.eval(X, phi) == literal.eval(X, phi), (phi, X)
+
+
+def test_an_evaluator_is_freed_without_the_cycle_collector():
+    """Team tests hold no reference back to their evaluator, so a dropped
+    evaluator frees its memo at once."""
+    import gc
+    import weakref
+    from teamlogic.semantics import Evaluator
+    gc.disable()
+    try:
+        ev = Evaluator(M)
+        for phi in (Dep((x,), (y,)), FOAtom("P", (x,)), Exists(z, Inc((z,), (y,))),
+                    SplitOr(Eq(x, y), Dep((), (y,)))):
+            ev.eval(T(("0", "1"), ("1", "1")), phi)
+        ref = weakref.ref(ev)
+        del ev
+        assert ref() is None
+    finally:
+        gc.enable()
