@@ -9,7 +9,7 @@ import itertools
 from .formula import Const, FOAtom, NegFOAtom, free_vars
 from .model import Signature, enumerate_models
 from .semantics import EvalBudget, Evaluator
-from .team import TeamCapExceeded, all_teams, sample_small_teams, sample_teams
+from .team import all_teams, sample_small_teams, sample_teams
 
 VALID_UP_TO_BOUND = "ValidUpToBound"
 COUNTEREXAMPLE = "Counterexample"
@@ -60,13 +60,13 @@ def entails_bounded(hypotheses, conclusion, max_domain=2, team_cap=16,
                     samples=0, seed=0, max_rows=None, registry=None,
                     budget=None):
     """Search all models up to max_domain over the mentioned signature and,
-    per model, all teams over the union of free variables (or `samples`
-    random teams when the exhaustive space exceeds team_cap assignments, or
-    always when samples > 0 and the space is large).
+    per model, all teams over the union of free variables, or, when that
+    space has more than team_cap assignments, `samples` random teams (1000
+    when samples is 0), with at most max_rows rows each if max_rows is set.
 
     The teams depend on the domain only, so the models of one domain size
-    share them: the first model draws sampled teams lazily, up to a
-    counterexample, and the later ones replay the drawn teams and draw on.
+    share them: the first model builds them lazily, up to a counterexample,
+    and the later ones replay the built teams and build on.
 
     `searched` counts the models and teams tried, in total and, under
     "by_size", per domain size, where "sampled" says whether that size's
@@ -85,15 +85,16 @@ def entails_bounded(hypotheses, conclusion, max_domain=2, team_cap=16,
                                   {"models": 0, "teams": 0, "sampled": False})
         size["models"] += 1
         if model.domain not in shared:
-            try:
-                teams, sampled = list(all_teams(model, variables, cap=team_cap)), False
-            except TeamCapExceeded:
-                count = samples or 1000
-                if max_rows is not None:
-                    teams = sample_small_teams(model, variables, count, max_rows, seed)
-                else:
-                    teams = sample_teams(model, variables, count, seed)
-                sampled = True
+            # decided up front: the teams are built lazily, so all_teams
+            # would raise TeamCapExceeded only when the first team is taken
+            sampled = len(model.domain) ** len(variables) > team_cap
+            if not sampled:
+                teams = all_teams(model, variables, cap=team_cap)
+            elif max_rows is not None:
+                teams = sample_small_teams(model, variables, samples or 1000,
+                                           max_rows, seed)
+            else:
+                teams = sample_teams(model, variables, samples or 1000, seed)
             shared[model.domain] = itertools.tee(teams, 1)[0], sampled
         teams, sampled = shared[model.domain]
         if sampled:

@@ -1,11 +1,17 @@
 """The team-semantics evaluator (lax semantics) plus a Tarskian evaluator
 for first-order formulas on single assignments.
 
-Two evaluation modes exist.  The default mode is exact and uses five sound
+Two evaluation modes exist.  The default mode is exact and uses six sound
 accelerations: Evaluator.eval resolves each formula, once per team
-variables, to a team test that runs a dep/ind/inc clause or the row test of
-a first-order literal straight on the rows, without the memo or the
-empty-team shortcut (each holds on the empty team by itself); first-order
+variables, to a team test that runs a dep/ind/inc clause, a set comparison
+for P(xs) and !P(xs) over team variables (are the xs-projections of the
+rows a subset of P, or disjoint from it? either stops at the first failing
+row), or the row test of another first-order literal straight on the rows,
+without the memo or the empty-team shortcut (each holds on the empty team
+by itself); the independence clause fails as soon as the sum over its
+z-classes of |x-values| * |y-values| exceeds the number of rows, which a
+team satisfying it never reaches, since each class is then the product of
+its projections (Graedel & Vaananen, Studia Logica 2013); first-order
 subformulas are evaluated rowwise (justified by the flatness property, which
 the check suites verify independently), each by a row test built once per
 formula and team variables, which decides a literal over variables by
@@ -138,10 +144,11 @@ class Evaluator:
     def _team_test(self, phi, X):
         """The test eval runs on every team over X.vars, built once per
         (phi, X.vars) after the free-variable precondition.  In the default
-        mode a dep/ind/inc atom runs its clause on the rows and a first-order
-        literal its row test on every row (flatness); each holds on the empty
-        team by itself, so neither needs the memo or the empty-team
-        shortcut.  Anything else gets None and goes through _eval, which
+        mode a dep/ind/inc atom runs its clause on the rows, P(xs) or !P(xs)
+        over team variables compares the set P with the rows' projections,
+        and another first-order literal runs its row test on every row
+        (flatness); each holds on the empty team by itself, so none needs
+        the memo or the empty-team shortcut.  Anything else gets None and goes through _eval, which
         decides compound first-order formulas rowwise too (asking
         is_first_order here would walk every such formula twice, and
         eval_formula builds a new evaluator for each call).  A test that
@@ -156,6 +163,9 @@ class Evaluator:
                 keys = self._prepare(phi, X)
                 return lambda Y: clause(Y, keys)
             if type(phi) in _LITERALS:
+                test = _relation_test(self.model, phi, X)
+                if test is not None:
+                    return test
                 row_test = self._prepare(phi, X)
                 return lambda Y: all(map(row_test, Y.rows))
         return None
@@ -439,19 +449,32 @@ def _dep_holds(X, keys):
 
 
 def _ind_holds(X, keys):
-    xkey, zkey, ykey = keys
+    # The atom holds iff every z-class is the product of its x-values A_z and
+    # y-values B_z.  Its pairs P_z lie in A_z x B_z and number at most the
+    # rows, so the clause fails once the sum of |A_z|*|B_z| passes the row
+    # count, and holds iff that sum equals the number of (z, x, y) values.
+    xkey, zkey, ykey, pkey = keys
+    rows = X.rows
+    n = len(rows)
     classes = {}
-    for r in X.rows:
+    total = 0
+    for r in rows:
         z = zkey(r)
         c = classes.get(z)
         if c is None:
-            c = classes[z] = (set(), set(), set())
-        a, b = xkey(r), ykey(r)
-        c[0].add(a)
-        c[1].add(b)
-        c[2].add((a, b))
-    # the atom holds iff every z-class is the product of its x- and y-values
-    return all(len(A) * len(B) == len(P) for A, B, P in classes.values())
+            c = classes[z] = (set(), set())
+        A, B = c
+        a = xkey(r)
+        if a not in A:
+            A.add(a)
+            total += len(B)
+        b = ykey(r)
+        if b not in B:
+            B.add(b)
+            total += len(A)
+        if total > n:
+            return False
+    return len(set(map(pkey, rows))) == total
 
 
 def _inc_holds(X, keys):
@@ -504,7 +527,8 @@ def _prepare_uncached(model, phi, X):
     if isinstance(phi, Dep):
         return _key(X, phi.determiners), _key(X, phi.dependent)
     if isinstance(phi, Ind):
-        return _key(X, phi.xs), _key(X, phi.zs), _key(X, phi.ys)
+        return (_key(X, phi.xs), _key(X, phi.zs), _key(X, phi.ys),
+                _key(X, (*phi.zs, *phi.xs, *phi.ys)))
     if isinstance(phi, Inc):
         return _key(X, phi.xs), _key(X, phi.ys)
     if isinstance(phi, (FOAtom, NegFOAtom)) and _team_vars_only(X, phi.args):
@@ -525,6 +549,21 @@ def _prepare_uncached(model, phi, X):
         return lambda r: r[i] != r[j]
     vs = X.vars
     return lambda r: eval_single(model, dict(zip(vs, r)), phi)
+
+
+def _relation_test(model, phi, X):
+    """For P(xs) or !P(xs) over team variables, the team test that the
+    xs-projection of every row is in P, or of none: a set comparison that
+    stops at the first failing row.  None for any other literal."""
+    if type(phi) not in (FOAtom, NegFOAtom) or not _team_vars_only(X, phi.args):
+        return None
+    holds = model.rel(phi.rel)
+    if len(phi.args) == 1:
+        holds = {t[0] for t in holds if len(t) == 1}  # _key yields bare values
+    get = _key(X, phi.args)
+    if isinstance(phi, FOAtom):
+        return lambda Y: holds.issuperset(map(get, Y.rows))
+    return lambda Y: holds.isdisjoint(map(get, Y.rows))
 
 
 def _team_vars_only(X, terms):

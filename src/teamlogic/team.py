@@ -109,43 +109,56 @@ def restrict(X, variables):
     return Team(variables, [tuple(r[i] for i in idx) for r in X.rows])
 
 
+def _generated(variables, rows, _new=object.__new__):
+    """A team the generators below build without Team's checks: `variables`
+    is the tuple of a team already built through them, and `rows` a
+    frozenset of tuples of its length drawn from the product space."""
+    X = _new(Team)
+    X.vars = variables
+    X.rows = rows
+    return X
+
+
 def all_teams(model, variables, cap=16):
     """Every team of M over the given variables, deterministically ordered.
     Refuses (TeamCapExceeded) when there are more than `cap` assignments."""
-    variables = tuple(variables)
+    variables = Team(variables, ()).vars
     n_assign = len(model.domain) ** len(variables)
     if n_assign > cap:
         raise TeamCapExceeded(
             "%d assignments exceed the cap of %d; use sample_teams" % (n_assign, cap))
-    # subsets[mask] lists, in order, the i-th sorted assignment for every
-    # bit i set in mask: the order of the bit-mask enumeration
-    subsets = [()]
+    # the bit-mask order, built lazily by doubling: the teams of masks below
+    # 2**i, then each of them with the i-th sorted assignment added
+    built = [frozenset()]
+    yield _generated(variables, built[0])
     for row in sorted(itertools.product(model.domain, repeat=len(variables))):
-        subsets += [s + (row,) for s in subsets]
-    for rows in subsets:
-        yield Team(variables, rows)
+        one = {row}
+        for i in range(len(built)):
+            rows = built[i] | one
+            built.append(rows)
+            yield _generated(variables, rows)
 
 
 def sample_teams(model, variables, count, seed):
     """Pseudo-random teams: each assignment is included independently with
     probability 1/2.  Reproducible from the seed."""
-    variables = tuple(variables)
+    variables = Team(variables, ()).vars
     draw = random.Random(seed).random
     space = sorted(itertools.product(model.domain, repeat=len(variables)))
     for _ in range(count):
-        yield Team(variables, [row for row in space if draw() < 0.5])
+        yield _generated(variables, frozenset([row for row in space if draw() < 0.5]))
 
 
 def sample_small_teams(model, variables, count, max_rows, seed):
     """Random teams with at most max_rows rows; keeps property suites over
     many variables affordable."""
-    variables = tuple(variables)
+    variables = Team(variables, ()).vars
     rng = random.Random(seed)
     domain = model.domain
     for _ in range(count):
         k = rng.randint(0, max_rows)
-        rows = {tuple(rng.choice(domain) for _ in variables) for _ in range(k)}
-        yield Team(variables, rows)
+        rows = frozenset([tuple(rng.choice(domain) for _ in variables) for _ in range(k)])
+        yield _generated(variables, rows)
 
 
 def parse_team(text):

@@ -167,3 +167,42 @@ def test_models_of_one_domain_size_draw_their_teams_once(monkeypatch):
     assert v.searched["by_size"] == {1: {"models": 2, "teams": 10, "sampled": True},
                                      2: {"models": 4, "teams": 20, "sampled": True}}
     assert len(calls) == 2 and len(drawn) == 10
+
+
+def _count_built(monkeypatch):
+    """Record the teams entails_bounded takes from all_teams.  The wrapper is
+    a generator function, as a tracer's is, so a cap refusal from all_teams
+    would surface only when the first team is taken."""
+    from teamlogic import entailment
+    calls, built = [], []
+    real = entailment.all_teams
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        for X in real(*args, **kwargs):
+            built.append(X)
+            yield X
+    monkeypatch.setattr(entailment, "all_teams", counting)
+    return calls, built
+
+
+def test_exhaustive_search_builds_only_the_teams_it_tests(monkeypatch):
+    calls, built = _count_built(monkeypatch)
+    v = entails_bounded([parse_formula("=(x,y ; z)")], parse_formula("=(x ; z)"),
+                        max_domain=2)
+    assert not v and len(calls) == 2
+    by_size = v.searched["by_size"]
+    assert not by_size[1]["sampled"] and not by_size[2]["sampled"]
+    # 2 teams at size 1, then up to the counterexample of the 256 at size 2
+    assert len(built) == v.searched["teams"] < 2 + 256
+    assert built[-1] == v.witness[1]
+
+
+def test_an_over_cap_size_is_sampled_behind_a_generator_wrapper(monkeypatch):
+    calls, built = _count_built(monkeypatch)
+    hyp, con = parse_formula("ind(x;z;y)"), parse_formula("ind(y;z;x)")
+    v = entails_bounded([hyp], con, max_domain=3, samples=20, seed=4)
+    assert v
+    assert v.searched["by_size"][3] == {"models": 1, "teams": 20, "sampled": True}
+    assert [len(model.domain) for model, *_ in calls] == [1, 2]
+    assert len(built) == 2 + 256

@@ -7,7 +7,8 @@ from teamlogic.model import (Model, ModelError, Signature, enumerate_models,
                              expand_with_relation, parse_model, print_model)
 from teamlogic.team import (Team, TeamCapExceeded, TeamError, all_teams,
                             duplicate, parse_team, print_team, rel, restrict,
-                            sample_teams, supplement, team_of_relation)
+                            sample_small_teams, sample_teams, supplement,
+                            team_of_relation)
 
 
 def m2():
@@ -133,6 +134,36 @@ def test_all_teams_keeps_the_bit_mask_order(domain, variables):
     masks = [Team(variables, [space[i] for i in range(n) if mask >> i & 1])
              for mask in range(1 << n)]
     assert list(all_teams(model, variables)) == masks
+
+
+_M3 = Model(("0", "1", "2"))
+
+
+@pytest.mark.parametrize("teams", [
+    lambda: all_teams(m2(), ("x", "y", "z")),
+    lambda: all_teams(_M3, ["x", "y"]),
+    lambda: sample_teams(_M3, ("x", "y", "z"), 50, seed=7),
+    lambda: sample_teams(m2(), ("x", "y"), 50, seed=2024),
+    lambda: sample_small_teams(_M3, ("x", "y", "z"), 50, 5, seed=1),
+], ids=["all-d2", "all-d3", "sample-7", "sample-2024", "sample-small"])
+def test_generated_teams_equal_checked_teams(teams):
+    """The generators skip Team's per-row checks; what they yield is still
+    what the checked constructor builds from the same rows."""
+    got = list(teams())
+    assert got
+    for X in got:
+        checked = Team(X.vars, X.rows)
+        assert X == checked and hash(X) == hash(checked)
+        assert type(X.vars) is tuple and type(X.rows) is frozenset
+        assert all(type(r) is tuple and len(r) == len(X.vars) for r in X.rows)
+
+
+def test_generators_reject_duplicate_variables():
+    for teams in (all_teams(m2(), ("x", "y", "x")),
+                  sample_teams(m2(), ("x", "x"), 3, seed=1),
+                  sample_small_teams(m2(), ("x", "x"), 3, 2, seed=1)):
+        with pytest.raises(TeamError, match="duplicate variable"):
+            next(teams)
 
 
 def test_sample_teams_reproducible():

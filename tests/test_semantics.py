@@ -64,6 +64,57 @@ def test_conditional_ind_clause():
     assert not eval_formula(M, Y, Ind((x,), (z,), (y,)))
 
 
+def test_ind_clause_holds_where_the_product_bound_is_met_exactly():
+    """A team satisfying x _|_z y has as many rows as the sum over z-classes of
+    |x-values| * |y-values|: on product teams the clause's early bound is met,
+    not passed."""
+    M3 = Model(("0", "1", "2"))
+    full = Team(("x", "y", "z"), itertools.product(M3.domain, repeat=3))
+    cases = [(M3, full, Ind((x,), (z,), (y,)), True),
+             (M3, full, Ind((x, y), (), (z,)), True),
+             (M, T(("0", "1")), Ind((x,), (), (y,)), True),
+             # z=0 is the product {0,1} x {0,1}, z=1 is not
+             (M, Team(("x", "y", "z"), [("0", "0", "0"), ("0", "1", "0"),
+                                        ("1", "0", "0"), ("1", "1", "0"),
+                                        ("0", "0", "1"), ("1", "1", "1")]),
+              Ind((x,), (z,), (y,)), False),
+             # the bound is met, but w doubles the rows: 4 rows, 2 (z, x, y) values
+             (M, Team(("x", "y", "z", "w"), [("0", "0", "0", "0"), ("0", "0", "0", "1"),
+                                             ("1", "1", "0", "0"), ("1", "1", "0", "1")]),
+              Ind((x,), (z,), (y,)), False)]
+    for model, X, phi, want in cases:
+        names = [tuple(v.name for v in vs) for vs in (phi.xs, phi.zs, phi.ys)]
+        assert oracle_atoms.holds_ind(X.vars, X.rows, *names) is want
+        for literal in (False, True):
+            assert eval_formula(model, X, phi, literal=literal) is want, (phi, literal)
+
+
+def test_relation_literals_on_empty_and_full_relations():
+    """P(xs) and !P(xs) over team variables compare P with the rows'
+    projections as sets: empty and full relations of arity 0-2, repeated
+    variables, and the empty team, against the literal mode."""
+    empty_team = Team(("x", "y"), [])
+    teams = [empty_team, T(("0", "0")), T(("0", "1"), ("1", "1")),
+             T(*itertools.product("01", repeat=2))]
+    relations = [{"T": [], "P": [], "R": []},
+                 {"T": [()], "P": [("0",), ("1",)],
+                  "R": list(itertools.product("01", repeat=2))},
+                 {"T": [()], "P": [("1",)], "R": [("0", "0"), ("1", "1")]}]
+    for rels in relations:
+        model = Model(("0", "1"), rels)
+        for atom in (FOAtom("T", ()), FOAtom("P", (x,)), FOAtom("P", (y,)),
+                     FOAtom("R", (x, y)), FOAtom("R", (y, x)), FOAtom("R", (x, x))):
+            for phi in (atom, NegFOAtom(atom.rel, atom.args)):
+                for X in teams:
+                    assert eval_formula(model, X, phi) == eval_formula(
+                        model, X, phi, literal=True), (rels, phi, X)
+                assert eval_formula(model, empty_team, phi)
+    full = Model(("0", "1"), relations[1])
+    assert eval_formula(full, teams[3], FOAtom("R", (x, y)))
+    assert not eval_formula(full, teams[3], NegFOAtom("P", (y,)))
+    assert not eval_formula(Model(("0", "1"), relations[0]), teams[1], FOAtom("T", ()))
+
+
 def test_inc_clause():
     assert eval_formula(M, T(("0", "0"), ("1", "1")), Inc((x,), (y,)))
     assert not eval_formula(M, T(("0", "1"), ("1", "1")), Inc((x,), (y,)))
