@@ -19,7 +19,7 @@ from .genatom import (build_inc, build_pro, complement, duplicating_team,
 from .model import Model
 from .negation import wneg
 from .semantics import BudgetExceeded, eval_formula, eval_single
-from .team import Team, all_teams, rel, restrict, sample_teams
+from .team import Team, all_teams, restrict
 
 VARIABLES = ("x", "y", "z")
 
@@ -267,24 +267,15 @@ def suite_fo_negation(seed=0, runs=50, model=None):
     return SuiteResult("fo-negation", runs, failures)
 
 
+# (definition, its argument variables, the native atom it defines); the
+# argument order of an independence definition is x-part, y-part, z-part
+_X, _Y, _Z = Var("x"), Var("y"), Var("z")
 _ATOM_CASES = [
-    (make_dep(1), ("x", "y")),
-    (make_inc(1), ("x", "y")),
-    (make_ind(1, 1, 0), ("x", "y")),
-    (make_ind(1, 1, 1), ("x", "y", "z")),
+    (make_dep(1), ("x", "y"), Dep((_X,), (_Y,))),
+    (make_inc(1), ("x", "y"), Inc((_X,), (_Y,))),
+    (make_ind(1, 1, 0), ("x", "y"), Ind((_X,), (), (_Y,))),
+    (make_ind(1, 1, 1), ("x", "y", "z"), Ind((_X,), (_Z,), (_Y,))),
 ]
-
-
-def _native_atom(d, vs):
-    ts = tuple(Var(v) for v in vs)
-    if d.name.startswith("dep"):
-        return Dep(ts[:-1], ts[-1:])
-    if d.name.startswith("inc"):
-        k = len(ts) // 2
-        return Inc(ts[:k], ts[k:])
-    # ind atom argument order is x-part, y-part, z-part
-    kx, ky, _ = map(int, d.name[len("ind"):].split("_"))
-    return Ind(ts[:kx], ts[kx + ky:], ts[kx:kx + ky])
 
 
 def suite_atom_translation(seed=0, runs=30, model=None):
@@ -294,8 +285,7 @@ def suite_atom_translation(seed=0, runs=30, model=None):
     rng = random.Random(seed)
     failures = []
     total = 0
-    for d, vs in _ATOM_CASES:
-        native = _native_atom(d, vs)
+    for d, vs, native in _ATOM_CASES:
         translated = sigma_pi_translate(d, [Var(v) for v in vs])
         if len(vs) <= 2:
             teams = list(all_teams(model, vs))
@@ -318,8 +308,7 @@ def suite_atom_complement(seed=0, runs=30, model=None):
     rng = random.Random(seed)
     failures = []
     total = 0
-    for d, vs in _ATOM_CASES:
-        native = _native_atom(d, vs)
+    for d, vs, native in _ATOM_CASES:
         co = complement(d)
         if len(vs) <= 2:
             teams = list(all_teams(model, vs))
@@ -363,8 +352,7 @@ def suite_so_correspondence(seed=0, runs=40, model=None):
     rng = random.Random(seed)
     failures = []
     total = 0
-    for d, vs in _ATOM_CASES[:3]:
-        native = _native_atom(d, vs)
+    for d, vs, native in _ATOM_CASES[:3]:
         for X in all_teams(model, vs):
             total += 1
             if not check_correspondence(model, X, native):

@@ -20,8 +20,7 @@ import sys
 from .checks import SUITES, run_all, run_suite
 from .entailment import entails_bounded
 from .eso import print_eso, tau
-from .formula import Dep, Inc, Ind
-from .genatom import register_builtin_atoms, sigma_pi_translate, make_dep, make_inc, make_ind
+from .genatom import atom_def_of, register_builtin_atoms, sigma_pi_translate
 from .model import parse_model, print_model
 from .negation import NotNegatableError, wneg
 from .parser import ParseError, parse_formula, print_formula
@@ -106,19 +105,6 @@ def cmd_negate(args):
     return 0
 
 
-def _atom_def_for(phi):
-    if isinstance(phi, Dep):
-        return (make_ind(len(phi.dependent), len(phi.dependent),
-                         len(phi.determiners)),
-                list(phi.dependent + phi.dependent + phi.determiners))
-    if isinstance(phi, Ind):
-        return (make_ind(len(phi.xs), len(phi.ys), len(phi.zs)),
-                list(phi.xs + phi.ys + phi.zs))
-    if isinstance(phi, Inc):
-        return make_inc(len(phi.xs)), list(phi.xs + phi.ys)
-    return None
-
-
 def cmd_translate(args):
     phi = parse_formula(args.formula, expand=False)
     records = []
@@ -126,7 +112,7 @@ def cmd_translate(args):
     psi = tau(phi, registry=register_builtin_atoms())
     lines.append(print_eso(psi))
     records.append(("second_order", print_eso(psi)))
-    pair = _atom_def_for(phi)
+    pair = atom_def_of(phi)
     if pair is not None:
         d, xs = pair
         defined = sigma_pi_translate(d, xs)

@@ -6,7 +6,7 @@ a counterexample is conclusive and is reported with its witness.
 import copy
 import itertools
 
-from .formula import Const, FOAtom, NegFOAtom, free_vars
+from .formula import Const, FOAtom, Gen, NegFOAtom, free_vars, subformulas, terms
 from .model import Signature, enumerate_models
 from .semantics import EvalBudget, Evaluator
 from .team import all_teams, sample_small_teams, sample_teams
@@ -31,25 +31,16 @@ class EntailmentVerdict:
 def mentioned_signature(formulas, registry=None):
     """Relations and constants occurring in the formulas.  Generalized atoms
     contribute the relations of their defining formulas."""
-    from .formula import Gen, Var
     rels = {}
     consts = set()
 
     def walk(phi):
-        if isinstance(phi, (FOAtom, NegFOAtom)):
-            rels[phi.rel] = len(phi.args)
-        if isinstance(phi, Gen) and registry and phi.atom_name in registry:
-            walk(registry[phi.atom_name].phiR)
-        for f in phi.__dataclass_fields__:
-            v = getattr(phi, f)
-            items = v if isinstance(v, tuple) else (v,)
-            for item in items:
-                if isinstance(item, Const):
-                    consts.add(item.name)
-                elif isinstance(item, Var):
-                    pass
-                elif hasattr(item, "__dataclass_fields__"):
-                    walk(item)
+        for node in subformulas(phi):
+            if isinstance(node, (FOAtom, NegFOAtom)):
+                rels[node.rel] = len(node.args)
+            if isinstance(node, Gen) and registry and node.atom_name in registry:
+                walk(registry[node.atom_name].phiR)
+            consts.update(t.name for t in terms(node) if isinstance(t, Const))
 
     for phi in formulas:
         walk(phi)

@@ -12,10 +12,11 @@ relation variable wherever the defining clause quantifies over a team.
 
 import itertools
 
-from .formula import (And, BoolOr, Dep, Eq, Exists, Exists1, FOAtom, Forall,
-                      Forall1, Gen, Implies, Inc, Ind, SplitOr, Var, WNeg,
-                      conj, exists_block, fresh_var, is_first_order,
-                      sorted_free_vars)
+from .formula import (And, BoolOr, Eq, Exists, Exists1, FOAtom, Forall,
+                      Forall1, Gen, Implies, NegFOAtom, SplitOr, Var, WNeg,
+                      children, conj, exists_block, forall_block, fresh_var,
+                      is_first_order, rebuild, sorted_free_vars, terms)
+from .genatom import atom_def_of, eso_atom_matrix
 from .model import expand_with_relation
 from .team import rel as team_rel
 
@@ -66,27 +67,15 @@ def _tau(phi, fv, member, registry):
     -> row-membership formula.  Returns (so_vars, first-order matrix)."""
     if is_first_order(phi):
         us = [Var(v) for v in fv]
-        return (), _forall(us, Implies(member(us), phi))
-    if isinstance(phi, Dep):
-        from .genatom import eso_atom_matrix, make_ind
-        d = make_ind(len(phi.dependent), len(phi.dependent), len(phi.determiners))
-        args = phi.dependent + phi.dependent + phi.determiners
-        return (), eso_atom_matrix(d, _atom_member(args, fv, member))
-    if isinstance(phi, Ind):
-        from .genatom import eso_atom_matrix, make_ind
-        d = make_ind(len(phi.xs), len(phi.ys), len(phi.zs))
-        args = phi.xs + phi.ys + phi.zs
-        return (), eso_atom_matrix(d, _atom_member(args, fv, member))
-    if isinstance(phi, Inc):
-        from .genatom import eso_atom_matrix, make_inc
-        d = make_inc(len(phi.xs))
-        return (), eso_atom_matrix(d, _atom_member(phi.xs + phi.ys, fv, member))
+        return (), forall_block(us, Implies(member(us), phi))
+    pair = atom_def_of(phi)
     if isinstance(phi, Gen):
-        from .genatom import eso_atom_matrix
         if not registry or phi.atom_name not in registry:
             raise EsoError("unregistered atom %s" % phi.atom_name)
-        return (), eso_atom_matrix(registry[phi.atom_name],
-                                   _atom_member(phi.args, fv, member))
+        pair = registry[phi.atom_name], phi.args
+    if pair is not None:
+        d, args = pair
+        return (), eso_atom_matrix(d, _atom_member(args, fv, member))
     if isinstance(phi, (And, BoolOr)):
         so1, m1 = _tau(phi.l, _fv(phi.l), _project(member, fv, _fv(phi.l)), registry)
         so2, m2 = _tau(phi.r, _fv(phi.r), _project(member, fv, _fv(phi.r)), registry)
@@ -112,12 +101,6 @@ def _tau(phi, fv, member, registry):
 
 def _fv(phi):
     return [v.name for v in sorted_free_vars(phi)]
-
-
-def _forall(vs, body):
-    for v in reversed(vs):
-        body = Forall(v, body)
-    return body
 
 
 def _project(member, fv, sub_fv):
@@ -179,13 +162,13 @@ def _tau_split(phi, fv, member, registry):
     so2, m2 = _tau(phi.r, fvr, lambda ts: FOAtom(sr, tuple(ts)), registry)
     vs = [Var(v) for v in fv]
     lookup = dict(zip(fv, vs))
-    cover = _forall(vs, Implies(member(vs), SplitOr(
+    cover = forall_block(vs, Implies(member(vs), SplitOr(
         FOAtom(sl, tuple(lookup[v] for v in fvl)),
         FOAtom(sr, tuple(lookup[v] for v in fvr)))))
     guards = []
     for s, fvs in ((sl, fvl), (sr, fvr)):
         us = [fresh_var("u") for _ in fvs]
-        guards.append(_forall(us, Implies(
+        guards.append(forall_block(us, Implies(
             FOAtom(s, tuple(us)), _project(member, fv, fvs)(us))))
     matrix = conj([m1, m2, cover] + guards)
     return ((sl, len(fvl)), (sr, len(fvr))) + so1 + so2, matrix
@@ -205,11 +188,11 @@ def _tau_exists(phi, fv, member, registry):
     vs = [Var(v) for v in rest]
     xh = fresh_var("xh")
     with_x = [Var(v) if v != x else xh for v in fvb]
-    cover = _forall(vs, Implies(
+    cover = forall_block(vs, Implies(
         _project(member, fv, rest)(vs),
         Exists(xh, FOAtom(s, tuple(with_x)))))
     us = [fresh_var("u") for _ in fvb]
-    guard = _forall(us, Implies(
+    guard = forall_block(us, Implies(
         FOAtom(s, tuple(us)),
         _project(member, fv, rest)([u for i, u in enumerate(us) if i != p])))
     return ((s, len(fvb)),) + so, conj([m, cover, guard])
@@ -240,14 +223,11 @@ def _tau_single(phi, fv, member, registry, existential):
 
 def _add_parameter(phi, names, t):
     """Append the term t to every occurrence of the named relations."""
-    from dataclasses import fields, replace
-    from .formula import Formula, NegFOAtom
     if isinstance(phi, (FOAtom, NegFOAtom)):
-        return replace(phi, args=phi.args + (t,)) if phi.rel in names else phi
-    changes = {f.name: _add_parameter(getattr(phi, f.name), names, t)
-               for f in fields(phi)
-               if isinstance(getattr(phi, f.name), Formula)}
-    return replace(phi, **changes) if changes else phi
+        return type(phi)(phi.rel, phi.args + (t,)) if phi.rel in names else phi
+    kids = children(phi)
+    return (rebuild(phi, [_add_parameter(c, names, t) for c in kids], terms(phi))
+            if kids else phi)
 
 
 # --- evaluation ---------------------------------------------------------------

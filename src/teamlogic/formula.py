@@ -5,9 +5,24 @@ literals (NegFOAtom / NegEq) or as the weak classical negation connective
 WNeg.  A few surface-level sugar nodes (Implies, SeqEq, SeqNeq) are kept
 around so proof scripts can talk about sequence equalities the way the
 literature writes them; expand_sugar rewrites them away.
+
+The shape table SHAPES is the one place a node class declares its fields: it
+is read off the annotations of the class's dataclass fields.  A Formula field
+holds a subformula, a Var field the variable the node binds, a Term field one
+term, a tuple[Term, ...] field a sequence of terms and a tuple[Var, ...]
+field a sequence of variables only (the arguments of Dep, Ind, Inc and Gen);
+any other field (the name of a relation or atom) is a label.  children,
+terms and rebuild read the table, and so do the traversals over it:
+free_vars, substitute, expand_sugar, is_first_order, subformulas and match.
+A new node class needs nothing more here than its annotated fields (and, if
+it is first-order, its entry in _QUANTIFIER_FREE_FO or _FIRST_ORDER); the
+clauses that give it a meaning (the evaluator, the printer, fo_negate) are
+written out where they live.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
+from typing import NamedTuple
 
 
 @dataclass(frozen=True)
@@ -26,11 +41,14 @@ class Const:
         return "Const(%s)" % self.name
 
 
+Term = Var | Const
+
+
 class Formula:
     """Base class; subclasses are frozen dataclasses and hence hashable.
     Each node's hash is computed once, on first use, by the dataclass field
     hash and kept in the instance __dict__; until then the class-level None
-    stands in (see the end of this module)."""
+    stands in (see _cached_hash)."""
 
     __slots__ = ()
     _hash = None
@@ -45,25 +63,25 @@ class Formula:
 @dataclass(frozen=True)
 class FOAtom(Formula):
     rel: str
-    args: tuple  # of Term
+    args: tuple[Term, ...]
 
 
 @dataclass(frozen=True)
 class NegFOAtom(Formula):
     rel: str
-    args: tuple
+    args: tuple[Term, ...]
 
 
 @dataclass(frozen=True)
 class Eq(Formula):
-    lhs: object
-    rhs: object
+    lhs: Term
+    rhs: Term
 
 
 @dataclass(frozen=True)
 class NegEq(Formula):
-    lhs: object
-    rhs: object
+    lhs: Term
+    rhs: Term
 
 
 @dataclass(frozen=True)
@@ -81,8 +99,8 @@ class Dep(Formula):
     """Dependence atom =(determiners; dependent).  The dependent part may be
     a sequence (evaluated via the equivalence =(x,y) == y _|_x y)."""
 
-    determiners: tuple  # of Var
-    dependent: tuple  # of Var, nonempty
+    determiners: tuple[Var, ...]
+    dependent: tuple[Var, ...]  # nonempty
 
     def __post_init__(self):
         if len(self.dependent) < 1:
@@ -93,17 +111,17 @@ class Dep(Formula):
 class Ind(Formula):
     """Independence atom xs _|_zs ys."""
 
-    xs: tuple
-    zs: tuple
-    ys: tuple
+    xs: tuple[Var, ...]
+    zs: tuple[Var, ...]
+    ys: tuple[Var, ...]
 
 
 @dataclass(frozen=True)
 class Inc(Formula):
     """Inclusion atom xs (= ys, componentwise sequences of equal length."""
 
-    xs: tuple
-    ys: tuple
+    xs: tuple[Var, ...]
+    ys: tuple[Var, ...]
 
     def __post_init__(self):
         if len(self.xs) != len(self.ys):
@@ -115,7 +133,7 @@ class Gen(Formula):
     """Occurrence of a registered generalized atom."""
 
     atom_name: str
-    args: tuple  # of Var
+    args: tuple[Var, ...]
 
 
 @dataclass(frozen=True)
@@ -184,8 +202,8 @@ class Implies(Formula):
 
 @dataclass(frozen=True)
 class SeqEq(Formula):
-    xs: tuple  # of Term
-    ys: tuple
+    xs: tuple[Term, ...]
+    ys: tuple[Term, ...]
 
     def __post_init__(self):
         if len(self.xs) != len(self.ys):
@@ -194,8 +212,8 @@ class SeqEq(Formula):
 
 @dataclass(frozen=True)
 class SeqNeq(Formula):
-    xs: tuple
-    ys: tuple
+    xs: tuple[Term, ...]
+    ys: tuple[Term, ...]
 
     def __post_init__(self):
         if len(self.xs) != len(self.ys):
@@ -213,6 +231,115 @@ def _cached_hash(self):
 for _cls in Formula.__subclasses__():
     _cls._field_hash = _cls.__hash__
     _cls.__hash__ = _cached_hash
+
+
+# --- the shape table ----------------------------------------------------------
+
+SUB, BINDER, TERM, TERMS, LABEL = "sub", "binder", "term", "terms", "label"
+_KINDS = {Formula: SUB, Var: BINDER, Term: TERM,
+          tuple[Term, ...]: TERMS, tuple[Var, ...]: TERMS}
+
+
+class Shape(NamedTuple):
+    fields: tuple     # (name, kind) per dataclass field, in constructor order
+    binder: object    # the name of the bound-variable field, or None
+    vars_only: bool   # the term fields hold variables only
+    plain: bool       # the fields are single terms, then subformulas
+    children: object  # node -> tuple of its subformulas
+    terms: object     # node -> tuple of its terms, the bound variable included
+
+
+def _getter(names, concat):
+    """node -> tuple of the named fields' values, or their concatenation."""
+    get = attrgetter(*names) if names else lambda phi: ()
+    if len(names) == 1 and not concat:
+        return lambda phi: (get(phi),)
+    return (lambda phi: sum(get(phi), ())) if len(names) > 1 and concat else get
+
+
+def _shape(cls):
+    kinds = tuple((f.name, _KINDS.get(f.type, LABEL)) for f in fields(cls))
+    named = lambda *wanted: [name for name, k in kinds if k in wanted]
+    single = named(BINDER, TERM)  # no class has these and term sequences
+    order = [k for _, k in kinds]
+    plain = order == [k for k in order if k in (BINDER, TERM)] + [SUB] * order.count(SUB)
+    return Shape(kinds, (named(BINDER) or [None])[0],
+                 tuple[Var, ...] in [f.type for f in fields(cls)], plain,
+                 _getter(named(SUB), False),
+                 _getter(single, False) if single else _getter(named(TERMS), True))
+
+
+SHAPES = {cls: _shape(cls) for cls in Formula.__subclasses__()}
+
+
+def children(phi):
+    """The subformulas of phi's own fields, in field order."""
+    return SHAPES[type(phi)].children(phi)
+
+
+def terms(phi):
+    """The terms of phi's own fields in field order: the variable phi binds,
+    or the terms of its term fields."""
+    return SHAPES[type(phi)].terms(phi)
+
+
+def rebuild(phi, kids, ts):
+    """A node of phi's class with phi's labels, the subformulas kids and the
+    terms ts, cut into fields of the lengths of phi's."""
+    shape = SHAPES[type(phi)]
+    if shape.plain:
+        return type(phi)(*ts, *kids)
+    kids, ts, args = iter(kids), tuple(ts), []
+    for name, kind in shape.fields:
+        if kind == SUB:
+            args.append(next(kids))
+        elif kind == LABEL:
+            args.append(getattr(phi, name))
+        elif kind == TERMS:
+            n = len(getattr(phi, name))
+            args.append(ts[:n])
+            ts = ts[n:]
+        else:
+            args.append(ts[0])
+            ts = ts[1:]
+    return type(phi)(*args)
+
+
+def subformulas(phi):
+    """phi and all its subformulas, in pre-order."""
+    yield phi
+    for c in children(phi):
+        yield from subformulas(c)
+
+
+def match(a, b, term, bind, env):
+    """Zip two formula trees: the same node classes and labels, sequences of
+    the same lengths, term(env, t, u) at every pair of term positions, and
+    below each pair of binders v, w the environment bind(env, v, w), where
+    None means the two binders may not pair."""
+    if type(a) is not type(b):
+        return False
+    for name, kind in SHAPES[type(a)].fields:
+        x, y = getattr(a, name), getattr(b, name)
+        if kind == SUB:
+            if not match(x, y, term, bind, env):
+                return False
+        elif kind == BINDER:
+            env = bind(env, x, y)
+            if env is None:
+                return False
+        elif kind == LABEL:
+            if x != y:
+                return False
+        else:
+            if kind == TERM:
+                x, y = (x,), (y,)
+            if len(x) != len(y) or not all(term(env, t, u) for t, u in zip(x, y)):
+                return False
+    return True
+
+
+# --- construction and traversal -------------------------------------------------
 
 
 def conj(parts):
@@ -242,43 +369,21 @@ def exists_block(vs, body):
     return body
 
 
-def term_vars(t):
-    return {t} if isinstance(t, Var) else set()
+def forall_block(vs, body):
+    for v in reversed(list(vs)):
+        body = Forall(v, body)
+    return body
 
 
 def free_vars(phi):
     """The set of free Var objects of a formula."""
-    if isinstance(phi, (FOAtom, NegFOAtom)):
-        out = set()
-        for a in phi.args:
-            out |= term_vars(a)
-        return out
-    if isinstance(phi, (Eq, NegEq)):
-        return term_vars(phi.lhs) | term_vars(phi.rhs)
-    if isinstance(phi, (Bot, Top)):
-        return set()
-    if isinstance(phi, Dep):
-        return set(phi.determiners) | set(phi.dependent)
-    if isinstance(phi, Ind):
-        return set(phi.xs) | set(phi.zs) | set(phi.ys)
-    if isinstance(phi, Inc):
-        return set(phi.xs) | set(phi.ys)
-    if isinstance(phi, Gen):
-        return set(phi.args)
-    if isinstance(phi, (And, SplitOr, BoolOr)):
-        return free_vars(phi.l) | free_vars(phi.r)
-    if isinstance(phi, (Exists, Forall, Exists1, Forall1)):
-        return free_vars(phi.body) - {phi.v}
-    if isinstance(phi, WNeg):
-        return free_vars(phi.body)
-    if isinstance(phi, Implies):
-        return free_vars(phi.ante) | free_vars(phi.cons)
-    if isinstance(phi, (SeqEq, SeqNeq)):
-        out = set()
-        for t in phi.xs + phi.ys:
-            out |= term_vars(t)
-        return out
-    raise TypeError("not a formula: %r" % (phi,))
+    shape = SHAPES[type(phi)]
+    out = {t for t in shape.terms(phi) if type(t) is Var}
+    for c in shape.children(phi):
+        out |= free_vars(c)
+    if shape.binder is not None:
+        out.discard(getattr(phi, shape.binder))
+    return out
 
 
 def sorted_free_vars(phi):
@@ -297,20 +402,6 @@ class SubstitutionError(ValueError):
     pass
 
 
-def _subst_term(t, sigma):
-    if isinstance(t, Var):
-        return sigma.get(t, t)
-    return t
-
-
-def _subst_atom_var(v, sigma, where):
-    t = sigma.get(v, v)
-    if not isinstance(t, Var):
-        raise SubstitutionError(
-            "cannot substitute constant %s into %s (variables only)" % (t.name, where))
-    return t
-
-
 def substitute(phi, sigma):
     """Capture-avoiding simultaneous substitution of terms for free variables.
 
@@ -320,75 +411,43 @@ def substitute(phi, sigma):
     sigma = {v: t for v, t in sigma.items() if t != v}
     if not sigma:
         return phi
-    if isinstance(phi, FOAtom):
-        return FOAtom(phi.rel, tuple(_subst_term(a, sigma) for a in phi.args))
-    if isinstance(phi, NegFOAtom):
-        return NegFOAtom(phi.rel, tuple(_subst_term(a, sigma) for a in phi.args))
-    if isinstance(phi, Eq):
-        return Eq(_subst_term(phi.lhs, sigma), _subst_term(phi.rhs, sigma))
-    if isinstance(phi, NegEq):
-        return NegEq(_subst_term(phi.lhs, sigma), _subst_term(phi.rhs, sigma))
-    if isinstance(phi, (Bot, Top)):
-        return phi
-    if isinstance(phi, Dep):
-        return Dep(tuple(_subst_atom_var(v, sigma, "dependence atom") for v in phi.determiners),
-                   tuple(_subst_atom_var(v, sigma, "dependence atom") for v in phi.dependent))
-    if isinstance(phi, Ind):
-        return Ind(tuple(_subst_atom_var(v, sigma, "independence atom") for v in phi.xs),
-                   tuple(_subst_atom_var(v, sigma, "independence atom") for v in phi.zs),
-                   tuple(_subst_atom_var(v, sigma, "independence atom") for v in phi.ys))
-    if isinstance(phi, Inc):
-        return Inc(tuple(_subst_atom_var(v, sigma, "inclusion atom") for v in phi.xs),
-                   tuple(_subst_atom_var(v, sigma, "inclusion atom") for v in phi.ys))
-    if isinstance(phi, Gen):
-        return Gen(phi.atom_name, tuple(_subst_atom_var(v, sigma, "generalized atom")
-                                        for v in phi.args))
-    if isinstance(phi, (And, SplitOr, BoolOr)):
-        return type(phi)(substitute(phi.l, sigma), substitute(phi.r, sigma))
-    if isinstance(phi, (Exists, Forall, Exists1, Forall1)):
-        inner = {v: t for v, t in sigma.items() if v != phi.v}
+    shape = SHAPES[type(phi)]
+    if shape.binder is not None:
+        v = getattr(phi, shape.binder)
+        inner = {u: t for u, t in sigma.items() if u != v}
         if not inner:
             return phi
-        captured = any(phi.v in term_vars(t) for v, t in inner.items()
-                       if v in free_vars(phi.body))
-        v, body = phi.v, phi.body
-        if captured:
-            v2 = fresh_var(phi.v.name.split("$")[0])
+        (body,) = shape.children(phi)
+        fv = free_vars(body)
+        if any(t == v for u, t in inner.items() if u in fv):
+            v2 = fresh_var(v.name.split("$")[0])
             body = substitute(body, {v: v2})
             v = v2
-        return type(phi)(v, substitute(body, inner))
-    if isinstance(phi, WNeg):
-        return WNeg(substitute(phi.body, sigma))
-    if isinstance(phi, Implies):
-        return Implies(substitute(phi.ante, sigma), substitute(phi.cons, sigma))
-    if isinstance(phi, (SeqEq, SeqNeq)):
-        return type(phi)(tuple(_subst_term(t, sigma) for t in phi.xs),
-                         tuple(_subst_term(t, sigma) for t in phi.ys))
-    raise TypeError("not a formula: %r" % (phi,))
+        return rebuild(phi, [substitute(body, inner)], (v,))
+    ts = [sigma.get(t, t) for t in shape.terms(phi)]
+    bad = [t for t in ts if type(t) is not Var] if shape.vars_only else ()
+    if bad:
+        raise SubstitutionError("cannot substitute constant %s into %s (variables "
+                                "only)" % (bad[0].name, type(phi).__name__))
+    return rebuild(phi, [substitute(c, sigma) for c in shape.children(phi)], ts)
+
+
+_QUANTIFIER_FREE_FO = {cls: SHAPES[cls].children for cls in (
+    FOAtom, NegFOAtom, Eq, NegEq, Bot, Top, SeqEq, SeqNeq, And, SplitOr, Implies)}
+_FIRST_ORDER = {**_QUANTIFIER_FREE_FO, Exists: SHAPES[Exists].children,
+                Forall: SHAPES[Forall].children}
 
 
 def is_first_order(phi):
     """True iff phi uses only FO literals, bot/top, /\\, \\/, E, A (sugar over
     FO parts counts as FO)."""
-    if isinstance(phi, (FOAtom, NegFOAtom, Eq, NegEq, Bot, Top, SeqEq, SeqNeq)):
-        return True
-    if isinstance(phi, (And, SplitOr)):
-        return is_first_order(phi.l) and is_first_order(phi.r)
-    if isinstance(phi, (Exists, Forall)):
-        return is_first_order(phi.body)
-    if isinstance(phi, Implies):
-        return is_first_order(phi.ante) and is_first_order(phi.cons)
-    return False
+    kids = _FIRST_ORDER.get(type(phi))
+    return kids is not None and all(map(is_first_order, kids(phi)))
 
 
 def is_quantifier_free_fo(phi):
-    if isinstance(phi, (FOAtom, NegFOAtom, Eq, NegEq, Bot, Top, SeqEq, SeqNeq)):
-        return True
-    if isinstance(phi, (And, SplitOr)):
-        return is_quantifier_free_fo(phi.l) and is_quantifier_free_fo(phi.r)
-    if isinstance(phi, Implies):
-        return is_quantifier_free_fo(phi.ante) and is_quantifier_free_fo(phi.cons)
-    return False
+    kids = _QUANTIFIER_FREE_FO.get(type(phi))
+    return kids is not None and all(map(is_quantifier_free_fo, kids(phi)))
 
 
 class NotFirstOrderError(ValueError):
@@ -440,59 +499,21 @@ def expand_sugar(phi):
         if not phi.xs:
             return Bot()
         return split_disj([NegEq(a, b) for a, b in zip(phi.xs, phi.ys)])
-    if isinstance(phi, (And, SplitOr, BoolOr)):
-        return type(phi)(expand_sugar(phi.l), expand_sugar(phi.r))
-    if isinstance(phi, (Exists, Forall, Exists1, Forall1)):
-        return type(phi)(phi.v, expand_sugar(phi.body))
-    if isinstance(phi, WNeg):
-        return WNeg(expand_sugar(phi.body))
-    return phi
+    shape = SHAPES[type(phi)]
+    kids = shape.children(phi)
+    return rebuild(phi, map(expand_sugar, kids), shape.terms(phi)) if kids else phi
 
 
 def alpha_equal(a, b):
-    """Structural equality modulo renaming of bound variables."""
-    return _alpha(a, b, {}, {})
+    """Structural equality modulo renaming of bound variables.  The
+    environment lists the pairs of binders met on the way down, innermost
+    first; a pair of variables is bound by the same pair of binders, or both
+    are free and equal."""
 
-
-def _alpha(a, b, ma, mb):
-    if type(a) is not type(b):
-        return False
-
-    def tm(t, u):
-        if isinstance(t, Var) and isinstance(u, Var):
-            return ma.get(t, t) == mb.get(u, u) and ma.get(t) == mb.get(u)
+    def term(env, t, u):
+        for v, w in env:
+            if t == v or u == w:
+                return t == v and u == w
         return t == u
 
-    def tms(ts, us):
-        return len(ts) == len(us) and all(tm(t, u) for t, u in zip(ts, us))
-
-    if isinstance(a, (FOAtom, NegFOAtom)):
-        return a.rel == b.rel and tms(a.args, b.args)
-    if isinstance(a, (Eq, NegEq)):
-        return tm(a.lhs, b.lhs) and tm(a.rhs, b.rhs)
-    if isinstance(a, (Bot, Top)):
-        return True
-    if isinstance(a, Dep):
-        return tms(a.determiners, b.determiners) and tms(a.dependent, b.dependent)
-    if isinstance(a, Ind):
-        return tms(a.xs, b.xs) and tms(a.zs, b.zs) and tms(a.ys, b.ys)
-    if isinstance(a, Inc):
-        return tms(a.xs, b.xs) and tms(a.ys, b.ys)
-    if isinstance(a, Gen):
-        return a.atom_name == b.atom_name and tms(a.args, b.args)
-    if isinstance(a, (And, SplitOr, BoolOr)):
-        return _alpha(a.l, b.l, ma, mb) and _alpha(a.r, b.r, ma, mb)
-    if isinstance(a, (Exists, Forall, Exists1, Forall1)):
-        mark = object()
-        ma2 = dict(ma)
-        mb2 = dict(mb)
-        ma2[a.v] = mark
-        mb2[b.v] = mark
-        return _alpha(a.body, b.body, ma2, mb2)
-    if isinstance(a, WNeg):
-        return _alpha(a.body, b.body, ma, mb)
-    if isinstance(a, Implies):
-        return _alpha(a.ante, b.ante, ma, mb) and _alpha(a.cons, b.cons, ma, mb)
-    if isinstance(a, (SeqEq, SeqNeq)):
-        return tms(a.xs, b.xs) and tms(a.ys, b.ys)
-    raise TypeError("not a formula: %r" % (a,))
+    return match(a, b, term, lambda env, v, w: ((v, w),) + env, ())

@@ -9,15 +9,15 @@ the picked rows are tested against.
 
 The module provides direct evaluation of such atoms, complementation,
 the translation into the base language (inclusion + independence atoms),
-the translation into a first-order sentence over a team relation symbol,
+the first-order sentence over a team relation symbol that expresses an atom,
 and the two team constructions used to justify the translation.
 """
 
 import itertools
 import re
 
-from .formula import (And, Const, Eq, Exists, FOAtom, Forall, Implies, Inc,
-                      Ind, Top, Var, conj, exists_block, fo_negate, free_vars,
+from .formula import (And, Dep, Eq, Implies, Inc, Ind, Top, Var, conj,
+                      exists_block, fo_negate, forall_block, free_vars,
                       is_first_order, substitute)
 from .team import Team, rel as team_rel
 
@@ -176,6 +176,22 @@ def make_fo(name, phi, variables):
                               substitute(phi, sub))
 
 
+def atom_def_of(phi):
+    """The generalized-atom definition of a dependence, independence or
+    inclusion atom with its argument list, or None for any other formula.
+    =(zs ; ys) is ys _|_zs ys, and independence arguments run x-part,
+    y-part, z-part."""
+    if isinstance(phi, Dep):
+        k = len(phi.dependent)
+        return (make_ind(k, k, len(phi.determiners)),
+                phi.dependent + phi.dependent + phi.determiners)
+    if isinstance(phi, Ind):
+        return make_ind(len(phi.xs), len(phi.ys), len(phi.zs)), phi.xs + phi.ys + phi.zs
+    if isinstance(phi, Inc):
+        return make_inc(len(phi.xs)), phi.xs + phi.ys
+    return None
+
+
 def register_builtin_atoms():
     atoms = [make_dep(1), make_dep(2), make_inc(1), make_inc(2),
              make_ind(1, 1, 1), make_ind(1, 1, 0)]
@@ -244,23 +260,8 @@ def eso_atom_matrix(d, member):
         if round_is_existential(d.polarity, i):
             current = exists_block(gv, And(mem, current))
         else:
-            current = _forall_block(gv, Implies(mem, current))
+            current = forall_block(gv, Implies(mem, current))
     return current
-
-
-def eso_translate_atom(d, xs, sym="S"):
-    from .eso import ESOFormula
-    if len(xs) != d.m:
-        raise AtomDefError("atom %s expects %d arguments, got %d"
-                           % (d.name, d.m, len(xs)))
-    matrix = eso_atom_matrix(d, lambda ts: FOAtom(sym, tuple(ts)))
-    return ESOFormula((), matrix)
-
-
-def _forall_block(vs, body):
-    for v in reversed(vs):
-        body = Forall(v, body)
-    return body
 
 
 # --- the two team constructions -----------------------------------------------

@@ -9,9 +9,9 @@ out the synthesis.
 """
 
 from .formula import (And, BoolOr, Dep, Exists1, Forall1, Gen, Inc, Ind, Var,
-                      WNeg, exists_block, fo_negate, free_vars,
-                      is_first_order, sorted_free_vars, substitute)
-from .genatom import (complement, make_inc, make_ind, sigma_pi_translate)
+                      WNeg, children, exists_block, fo_negate, free_vars,
+                      is_first_order, sorted_free_vars, substitute, terms)
+from .genatom import atom_def_of, complement, sigma_pi_translate
 
 
 class NotNegatableError(ValueError):
@@ -38,18 +38,12 @@ def is_negatable_fragment(phi, registry=None):
         if registry is not None and phi.atom_name not in registry:
             return NegatableReport(False, "unregistered atom %s" % phi.atom_name)
         return NegatableReport(True, "generalized atom")
-    if isinstance(phi, (And, BoolOr)):
-        for side in (phi.l, phi.r):
-            rep = is_negatable_fragment(side, registry)
+    if isinstance(phi, (And, BoolOr, Exists1, Forall1, WNeg)):
+        for sub in children(phi):
+            rep = is_negatable_fragment(sub, registry)
             if not rep:
                 return rep
-        return NegatableReport(True, "closure under the binary connective")
-    if isinstance(phi, (Exists1, Forall1, WNeg)):
-        body = phi.body
-        rep = is_negatable_fragment(body, registry)
-        if not rep:
-            return rep
-        return NegatableReport(True, "closure under the unary connective")
+        return NegatableReport(True, "closure under %s" % type(phi).__name__)
     return NegatableReport(False, "offending subformula %r" % (phi,))
 
 
@@ -62,31 +56,22 @@ def wneg(phi, registry=None):
     return _wneg(phi, registry)
 
 
+_DUALS = {And: BoolOr, BoolOr: And, Exists1: Forall1, Forall1: Exists1}
+
+
 def _wneg(phi, registry):
     if is_first_order(phi):
         return _wneg_fo(phi)
-    if isinstance(phi, Dep):
-        # =(z1..zn ; y1..yk)  ==  y1..yk _|_{z1..zn} y1..yk
-        d = make_ind(len(phi.dependent), len(phi.dependent), len(phi.determiners))
-        args = phi.dependent + phi.dependent + phi.determiners
+    pair = ((registry[phi.atom_name], phi.args) if isinstance(phi, Gen)
+            else atom_def_of(phi))
+    if pair is not None:
+        d, args = pair
         return sigma_pi_translate(complement(d), list(args))
-    if isinstance(phi, Ind):
-        d = make_ind(len(phi.xs), len(phi.ys), len(phi.zs))
-        return sigma_pi_translate(complement(d), list(phi.xs + phi.ys + phi.zs))
-    if isinstance(phi, Inc):
-        d = make_inc(len(phi.xs))
-        return sigma_pi_translate(complement(d), list(phi.xs + phi.ys))
-    if isinstance(phi, Gen):
-        return sigma_pi_translate(complement(registry[phi.atom_name]),
-                                  list(phi.args))
-    if isinstance(phi, And):
-        return BoolOr(_wneg(phi.l, registry), _wneg(phi.r, registry))
-    if isinstance(phi, BoolOr):
-        return And(_wneg(phi.l, registry), _wneg(phi.r, registry))
-    if isinstance(phi, Exists1):
-        return Forall1(phi.v, _wneg(phi.body, registry))
-    if isinstance(phi, Forall1):
-        return Exists1(phi.v, _wneg(phi.body, registry))
+    dual = _DUALS.get(type(phi))
+    if dual is not None:
+        # the dual connective, over the same variable (if any) and the
+        # weak negations of the subformulas
+        return dual(*terms(phi), *(_wneg(c, registry) for c in children(phi)))
     if isinstance(phi, WNeg):
         # double weak negation collapses: both sides are true on the empty
         # team, and on nonempty teams the two complements cancel

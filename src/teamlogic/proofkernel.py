@@ -19,10 +19,11 @@ AndI, AndE, OrI, EqRefl, FO.
 
 import itertools
 
-from .formula import (And, Bot, Const, Dep, Eq, Exists, FOAtom, Implies, Inc,
-                      Ind, NegEq, NegFOAtom, SeqEq, SeqNeq, SplitOr, Top, Var,
-                      alpha_equal, exists_block, expand_sugar, free_vars,
-                      is_quantifier_free_fo, substitute)
+from .formula import (And, Bot, Const, Dep, Eq, Exists, FOAtom, Gen,
+                      Implies, Inc, Ind, NegEq, NegFOAtom, SeqEq, SplitOr, Top,
+                      Var, alpha_equal, exists_block, expand_sugar, free_vars,
+                      is_quantifier_free_fo, match, subformulas, substitute,
+                      terms)
 from .negation import NotNegatableError, wneg
 
 
@@ -241,7 +242,7 @@ class _Checker:
         if not isinstance(st.formula, Exists):
             raise ProofError("ExI conclusion must be existential")
         x, body = st.formula.v, st.formula.body
-        candidates = {x} | free_vars(prem) | {t for t in _terms_of(prem)}
+        candidates = {x} | {t for n in subformulas(prem) for t in terms(n)}
         for t in candidates:
             try:
                 if substitute(body, {x: t}) == prem or alpha_equal(
@@ -327,7 +328,9 @@ class _Checker:
         if not isinstance(p1, Inc):
             raise ProofError("the first IncCmp premise must be an inclusion atom")
         pairs = list(zip(p1.ys, p1.xs))  # (pattern variable, replacement)
-        if not _cmp_match(p2, st.formula, pairs):
+        # the rule is not extended to generalized atoms
+        if (any(isinstance(n, Gen) for n in subformulas(p2))
+                or not _cmp_match(p2, st.formula, pairs)):
             raise ProofError("conclusion is not a compression instance of the premise")
 
     def r_inde(self, st):
@@ -411,117 +414,36 @@ def _seq_eq(xs, ys):
     return SeqEq(tuple(xs), tuple(ys))
 
 
-def _terms_of(phi):
-    out = set()
-
-    def walk(p):
-        for f in p.__dataclass_fields__:
-            v = getattr(p, f)
-            items = v if isinstance(v, tuple) else (v,)
-            for item in items:
-                if isinstance(item, (Var, Const)):
-                    out.add(item)
-                elif hasattr(item, "__dataclass_fields__"):
-                    walk(item)
-
-    walk(phi)
-    return out
-
-
-def _match_eigen(pattern, candidate, renameable, mapping=None):
+def _match_eigen(pattern, candidate, renameable):
     """Match candidate against pattern where free occurrences of the
     renameable variables may be consistently renamed.  Returns the renaming
     dict or None."""
-    if mapping is None:
-        mapping = {}
 
-    def tm(t, u):
-        if isinstance(t, Var) and t in renameable:
-            if not isinstance(u, Var):
-                return False
-            if t in mapping:
-                return mapping[t] == u
-            mapping[t] = u
-            return True
+    def term(mapping, t, u):
+        if t in renameable:
+            return isinstance(u, Var) and mapping.setdefault(t, u) == u
         return t == u
 
-    def tms(ts, us):
-        return len(ts) == len(us) and all(tm(t, u) for t, u in zip(ts, us))
+    def bind(mapping, v, w):
+        return mapping if v == w and v not in renameable else None
 
-    a, b = pattern, candidate
-    if type(a) is not type(b):
-        return None
-    ok = False
-    if isinstance(a, (FOAtom, NegFOAtom)):
-        ok = a.rel == b.rel and tms(a.args, b.args)
-    elif isinstance(a, (Eq, NegEq)):
-        ok = tm(a.lhs, b.lhs) and tm(a.rhs, b.rhs)
-    elif isinstance(a, (Bot, Top)):
-        ok = True
-    elif isinstance(a, Dep):
-        ok = tms(a.determiners, b.determiners) and tms(a.dependent, b.dependent)
-    elif isinstance(a, Ind):
-        ok = tms(a.xs, b.xs) and tms(a.zs, b.zs) and tms(a.ys, b.ys)
-    elif isinstance(a, Inc):
-        ok = tms(a.xs, b.xs) and tms(a.ys, b.ys)
-    elif hasattr(a, "l"):
-        ok = (_match_eigen(a.l, b.l, renameable, mapping) is not None
-              and _match_eigen(a.r, b.r, renameable, mapping) is not None)
-    elif hasattr(a, "ante"):
-        ok = (_match_eigen(a.ante, b.ante, renameable, mapping) is not None
-              and _match_eigen(a.cons, b.cons, renameable, mapping) is not None)
-    elif isinstance(a, (SeqEq, SeqNeq)):
-        ok = tms(a.xs, b.xs) and tms(a.ys, b.ys)
-    elif hasattr(a, "v"):
-        if a.v != b.v or a.v in renameable:
-            return None
-        ok = _match_eigen(a.body, b.body, renameable, mapping) is not None
-    elif hasattr(a, "body"):
-        ok = _match_eigen(a.body, b.body, renameable, mapping) is not None
-    return mapping if ok else None
+    mapping = {}
+    return mapping if match(pattern, candidate, term, bind, mapping) else None
 
 
 def _cmp_match(alpha, concl, pairs):
     """Does concl arise from alpha by replacing every occurrence of a pattern
-    variable with one of its paired replacements?"""
+    variable with one of its paired replacements?  A binder must be the same
+    on both sides, and the variable it binds takes no part in a pair below
+    it."""
 
-    def tm(t, u):
-        if t == u and not any(t == x for x, _ in pairs):
-            return True
-        return any(t == x and u == y for x, y in pairs)
+    def term(pairs, t, u):
+        return (t == u and all(t != x for x, _ in pairs)) or (t, u) in pairs
 
-    def tms(ts, us):
-        return len(ts) == len(us) and all(tm(t, u) for t, u in zip(ts, us))
+    def bind(pairs, v, w):
+        return [(x, y) for x, y in pairs if v not in (x, y)] if v == w else None
 
-    a, b = alpha, concl
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, (FOAtom, NegFOAtom)):
-        return a.rel == b.rel and tms(a.args, b.args)
-    if isinstance(a, (Eq, NegEq)):
-        return tm(a.lhs, b.lhs) and tm(a.rhs, b.rhs)
-    if isinstance(a, (Bot, Top)):
-        return True
-    if isinstance(a, Dep):
-        return tms(a.determiners, b.determiners) and tms(a.dependent, b.dependent)
-    if isinstance(a, Ind):
-        return tms(a.xs, b.xs) and tms(a.zs, b.zs) and tms(a.ys, b.ys)
-    if isinstance(a, Inc):
-        return tms(a.xs, b.xs) and tms(a.ys, b.ys)
-    if isinstance(a, (SeqEq, SeqNeq)):
-        return tms(a.xs, b.xs) and tms(a.ys, b.ys)
-    if hasattr(a, "l"):
-        return _cmp_match(a.l, b.l, pairs) and _cmp_match(a.r, b.r, pairs)
-    if hasattr(a, "ante"):
-        return _cmp_match(a.ante, b.ante, pairs) and _cmp_match(a.cons, b.cons, pairs)
-    if hasattr(a, "v"):
-        if a.v != b.v:
-            return False
-        inner = [(x, y) for x, y in pairs if x != a.v and y != a.v]
-        return _cmp_match(a.body, b.body, inner)
-    if hasattr(a, "body"):
-        return _cmp_match(a.body, b.body, pairs)
-    return False
+    return match(alpha, concl, term, bind, pairs)
 
 
 # --- quantifier-free first-order entailment -----------------------------------

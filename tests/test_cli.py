@@ -195,3 +195,138 @@ def test_main_calls_share_no_state(capsys):
     assert main(["entail", "--hyp", "x = y", "--concl", "=(x ; y)"]) == 0
     capsys.readouterr()
     assert main(["entail", "--concl", "=(x ; y)"]) == 1
+
+
+# The negate and translate output for one atom of each kind: (negation,
+# second-order sentence, in-language definition).  It pins the argument order
+# of genatom.atom_def_of, and the formulas built from it, byte for byte.
+ATOM_GOLDEN = {
+    '=(x ; y)': (
+        '(E w$1$1$1. (E w$1$1$2. (E w$1$1$3. (E w$1$2$1. (E w$1$2$2. (E w'
+        '$1$2$3. ((inc(w$1$1$1,w$1$1$2,w$1$1$3 ; y,y,x) /\\ inc(w$1$2$1,w$'
+        '1$2$2,w$1$2$3 ; y,y,x)) /\\ (E w$2$1$1. (E w$2$1$2. (E w$2$1$3. ('
+        '((inc(y,y,x ; w$2$1$1,w$2$1$2,w$2$1$3) /\\ top) /\\ ind(w$1$1$1,w$'
+        '1$1$2,w$1$1$3,w$1$2$1,w$1$2$2,w$1$2$3 ;  ; w$2$1$1,w$2$1$2,w$2$1'
+        '$3)) /\\ ((w$1$1$3 = w$1$2$3) /\\ (((w$2$1$3 != w$1$1$3) \\/ (w$2$1'
+        '$1 != w$1$1$1)) \\/ (w$2$1$2 != w$1$2$2))))))))))))))',
+        '(A w$1$1$1. (A w$1$1$2. (A w$1$1$3. (A w$1$2$1. (A w$1$2$2. (A w'
+        '$1$2$3. ((((w$1$1$2 = w$1$1$1) /\\ R(w$1$1$3,w$1$1$1)) /\\ ((w$1$2'
+        '$2 = w$1$2$1) /\\ R(w$1$2$3,w$1$2$1))) -> (E w$2$1$1. (E w$2$1$2.'
+        ' (E w$2$1$3. (((w$2$1$2 = w$2$1$1) /\\ R(w$2$1$3,w$2$1$1)) /\\ ((w'
+        '$1$1$3 = w$1$2$3) -> (((w$2$1$3 = w$1$1$3) /\\ (w$2$1$1 = w$1$1$1'
+        ')) /\\ (w$2$1$2 = w$1$2$2))))))))))))))',
+        '(E w$1$1$1. (E w$1$1$2. (E w$1$1$3. (E w$1$2$1. (E w$1$2$2. (E w'
+        '$1$2$3. (((((inc(y,y,x ; w$1$1$1,w$1$1$2,w$1$1$3) /\\ inc(y,y,x ;'
+        ' w$1$2$1,w$1$2$2,w$1$2$3)) /\\ ind(w$1$2$1,w$1$2$2,w$1$2$3 ;  ; w'
+        '$1$1$1,w$1$1$2,w$1$1$3)) /\\ ind(w$1$1$1,w$1$1$2,w$1$1$3 ;  ; w$1'
+        '$2$1,w$1$2$2,w$1$2$3)) /\\ top) /\\ (E w$2$1$1. (E w$2$1$2. (E w$2'
+        '$1$3. (inc(w$2$1$1,w$2$1$2,w$2$1$3 ; y,y,x) /\\ ((w$1$1$3 = w$1$2'
+        '$3) -> (((w$2$1$3 = w$1$1$3) /\\ (w$2$1$1 = w$1$1$1)) /\\ (w$2$1$2'
+        ' = w$1$2$2))))))))))))))',
+    ),
+    '=(x,y ; z)': (
+        '(E w$1$1$1. (E w$1$1$2. (E w$1$1$3. (E w$1$1$4. (E w$1$2$1. (E w'
+        '$1$2$2. (E w$1$2$3. (E w$1$2$4. ((inc(w$1$1$1,w$1$1$2,w$1$1$3,w$'
+        '1$1$4 ; z,z,x,y) /\\ inc(w$1$2$1,w$1$2$2,w$1$2$3,w$1$2$4 ; z,z,x,'
+        'y)) /\\ (E w$2$1$1. (E w$2$1$2. (E w$2$1$3. (E w$2$1$4. (((inc(z,'
+        'z,x,y ; w$2$1$1,w$2$1$2,w$2$1$3,w$2$1$4) /\\ top) /\\ ind(w$1$1$1,'
+        'w$1$1$2,w$1$1$3,w$1$1$4,w$1$2$1,w$1$2$2,w$1$2$3,w$1$2$4 ;  ; w$2'
+        '$1$1,w$2$1$2,w$2$1$3,w$2$1$4)) /\\ (((w$1$1$3 = w$1$2$3) /\\ (w$1$'
+        '1$4 = w$1$2$4)) /\\ ((((w$2$1$3 != w$1$1$3) \\/ (w$2$1$4 != w$1$1$'
+        '4)) \\/ (w$2$1$1 != w$1$1$1)) \\/ (w$2$1$2 != w$1$2$2)))))))))))))'
+        '))))',
+        '(A w$1$1$1. (A w$1$1$2. (A w$1$1$3. (A w$1$1$4. (A w$1$2$1. (A w'
+        '$1$2$2. (A w$1$2$3. (A w$1$2$4. ((((w$1$1$2 = w$1$1$1) /\\ R(w$1$'
+        '1$3,w$1$1$4,w$1$1$1)) /\\ ((w$1$2$2 = w$1$2$1) /\\ R(w$1$2$3,w$1$2'
+        '$4,w$1$2$1))) -> (E w$2$1$1. (E w$2$1$2. (E w$2$1$3. (E w$2$1$4.'
+        ' (((w$2$1$2 = w$2$1$1) /\\ R(w$2$1$3,w$2$1$4,w$2$1$1)) /\\ (((w$1$'
+        '1$3 = w$1$2$3) /\\ (w$1$1$4 = w$1$2$4)) -> ((((w$2$1$3 = w$1$1$3)'
+        ' /\\ (w$2$1$4 = w$1$1$4)) /\\ (w$2$1$1 = w$1$1$1)) /\\ (w$2$1$2 = w'
+        '$1$2$2)))))))))))))))))',
+        '(E w$1$1$1. (E w$1$1$2. (E w$1$1$3. (E w$1$1$4. (E w$1$2$1. (E w'
+        '$1$2$2. (E w$1$2$3. (E w$1$2$4. (((((inc(z,z,x,y ; w$1$1$1,w$1$1'
+        '$2,w$1$1$3,w$1$1$4) /\\ inc(z,z,x,y ; w$1$2$1,w$1$2$2,w$1$2$3,w$1'
+        '$2$4)) /\\ ind(w$1$2$1,w$1$2$2,w$1$2$3,w$1$2$4 ;  ; w$1$1$1,w$1$1'
+        '$2,w$1$1$3,w$1$1$4)) /\\ ind(w$1$1$1,w$1$1$2,w$1$1$3,w$1$1$4 ;  ;'
+        ' w$1$2$1,w$1$2$2,w$1$2$3,w$1$2$4)) /\\ top) /\\ (E w$2$1$1. (E w$2'
+        '$1$2. (E w$2$1$3. (E w$2$1$4. (inc(w$2$1$1,w$2$1$2,w$2$1$3,w$2$1'
+        '$4 ; z,z,x,y) /\\ (((w$1$1$3 = w$1$2$3) /\\ (w$1$1$4 = w$1$2$4)) -'
+        '> ((((w$2$1$3 = w$1$1$3) /\\ (w$2$1$4 = w$1$1$4)) /\\ (w$2$1$1 = w'
+        '$1$1$1)) /\\ (w$2$1$2 = w$1$2$2)))))))))))))))))',
+    ),
+    'ind(x ; z ; y)': (
+        '(E w$1$1$1. (E w$1$1$2. (E w$1$1$3. (E w$1$2$1. (E w$1$2$2. (E w'
+        '$1$2$3. ((inc(w$1$1$1,w$1$1$2,w$1$1$3 ; x,y,z) /\\ inc(w$1$2$1,w$'
+        '1$2$2,w$1$2$3 ; x,y,z)) /\\ (E w$2$1$1. (E w$2$1$2. (E w$2$1$3. ('
+        '((inc(x,y,z ; w$2$1$1,w$2$1$2,w$2$1$3) /\\ top) /\\ ind(w$1$1$1,w$'
+        '1$1$2,w$1$1$3,w$1$2$1,w$1$2$2,w$1$2$3 ;  ; w$2$1$1,w$2$1$2,w$2$1'
+        '$3)) /\\ ((w$1$1$3 = w$1$2$3) /\\ (((w$2$1$3 != w$1$1$3) \\/ (w$2$1'
+        '$1 != w$1$1$1)) \\/ (w$2$1$2 != w$1$2$2))))))))))))))',
+        '(A w$1$1$1. (A w$1$1$2. (A w$1$1$3. (A w$1$2$1. (A w$1$2$2. (A w'
+        '$1$2$3. ((R(w$1$1$1,w$1$1$2,w$1$1$3) /\\ R(w$1$2$1,w$1$2$2,w$1$2$'
+        '3)) -> (E w$2$1$1. (E w$2$1$2. (E w$2$1$3. (R(w$2$1$1,w$2$1$2,w$'
+        '2$1$3) /\\ ((w$1$1$3 = w$1$2$3) -> (((w$2$1$3 = w$1$1$3) /\\ (w$2$'
+        '1$1 = w$1$1$1)) /\\ (w$2$1$2 = w$1$2$2))))))))))))))',
+        '(E w$1$1$1. (E w$1$1$2. (E w$1$1$3. (E w$1$2$1. (E w$1$2$2. (E w'
+        '$1$2$3. (((((inc(x,y,z ; w$1$1$1,w$1$1$2,w$1$1$3) /\\ inc(x,y,z ;'
+        ' w$1$2$1,w$1$2$2,w$1$2$3)) /\\ ind(w$1$2$1,w$1$2$2,w$1$2$3 ;  ; w'
+        '$1$1$1,w$1$1$2,w$1$1$3)) /\\ ind(w$1$1$1,w$1$1$2,w$1$1$3 ;  ; w$1'
+        '$2$1,w$1$2$2,w$1$2$3)) /\\ top) /\\ (E w$2$1$1. (E w$2$1$2. (E w$2'
+        '$1$3. (inc(w$2$1$1,w$2$1$2,w$2$1$3 ; x,y,z) /\\ ((w$1$1$3 = w$1$2'
+        '$3) -> (((w$2$1$3 = w$1$1$3) /\\ (w$2$1$1 = w$1$1$1)) /\\ (w$2$1$2'
+        ' = w$1$2$2))))))))))))))',
+    ),
+    'ind(x,y ;; z)': (
+        '(E w$1$1$1. (E w$1$1$2. (E w$1$1$3. (E w$1$2$1. (E w$1$2$2. (E w'
+        '$1$2$3. ((inc(w$1$1$1,w$1$1$2,w$1$1$3 ; x,y,z) /\\ inc(w$1$2$1,w$'
+        '1$2$2,w$1$2$3 ; x,y,z)) /\\ (E w$2$1$1. (E w$2$1$2. (E w$2$1$3. ('
+        '((inc(x,y,z ; w$2$1$1,w$2$1$2,w$2$1$3) /\\ top) /\\ ind(w$1$1$1,w$'
+        '1$1$2,w$1$1$3,w$1$2$1,w$1$2$2,w$1$2$3 ;  ; w$2$1$1,w$2$1$2,w$2$1'
+        '$3)) /\\ (((w$2$1$1 != w$1$1$1) \\/ (w$2$1$2 != w$1$1$2)) \\/ (w$2$'
+        '1$3 != w$1$2$3)))))))))))))',
+        '(A w$1$1$1. (A w$1$1$2. (A w$1$1$3. (A w$1$2$1. (A w$1$2$2. (A w'
+        '$1$2$3. ((R(w$1$1$1,w$1$1$2,w$1$1$3) /\\ R(w$1$2$1,w$1$2$2,w$1$2$'
+        '3)) -> (E w$2$1$1. (E w$2$1$2. (E w$2$1$3. (R(w$2$1$1,w$2$1$2,w$'
+        '2$1$3) /\\ (((w$2$1$1 = w$1$1$1) /\\ (w$2$1$2 = w$1$1$2)) /\\ (w$2$'
+        '1$3 = w$1$2$3)))))))))))))',
+        '(E w$1$1$1. (E w$1$1$2. (E w$1$1$3. (E w$1$2$1. (E w$1$2$2. (E w'
+        '$1$2$3. (((((inc(x,y,z ; w$1$1$1,w$1$1$2,w$1$1$3) /\\ inc(x,y,z ;'
+        ' w$1$2$1,w$1$2$2,w$1$2$3)) /\\ ind(w$1$2$1,w$1$2$2,w$1$2$3 ;  ; w'
+        '$1$1$1,w$1$1$2,w$1$1$3)) /\\ ind(w$1$1$1,w$1$1$2,w$1$1$3 ;  ; w$1'
+        '$2$1,w$1$2$2,w$1$2$3)) /\\ top) /\\ (E w$2$1$1. (E w$2$1$2. (E w$2'
+        '$1$3. (inc(w$2$1$1,w$2$1$2,w$2$1$3 ; x,y,z) /\\ (((w$2$1$1 = w$1$'
+        '1$1) /\\ (w$2$1$2 = w$1$1$2)) /\\ (w$2$1$3 = w$1$2$3)))))))))))))',
+    ),
+    'inc(x,y ; z,w)': (
+        '(E w$1$1$1. (E w$1$1$2. (E w$1$1$3. (E w$1$1$4. (inc(w$1$1$1,w$1'
+        '$1$2,w$1$1$3,w$1$1$4 ; x,y,z,w) /\\ (E w$2$1$1. (E w$2$1$2. (E w$'
+        '2$1$3. (E w$2$1$4. (((inc(x,y,z,w ; w$2$1$1,w$2$1$2,w$2$1$3,w$2$'
+        '1$4) /\\ top) /\\ ind(w$1$1$1,w$1$1$2,w$1$1$3,w$1$1$4 ;  ; w$2$1$1'
+        ',w$2$1$2,w$2$1$3,w$2$1$4)) /\\ ((w$1$1$1 != w$2$1$3) \\/ (w$1$1$2 '
+        '!= w$2$1$4))))))))))))',
+        '(A w$1$1$1. (A w$1$1$2. (A w$1$1$3. (A w$1$1$4. (R(w$1$1$4,w$1$1'
+        '$1,w$1$1$2,w$1$1$3) -> (E w$2$1$1. (E w$2$1$2. (E w$2$1$3. (E w$'
+        '2$1$4. (R(w$2$1$4,w$2$1$1,w$2$1$2,w$2$1$3) /\\ ((w$1$1$1 = w$2$1$'
+        '3) /\\ (w$1$1$2 = w$2$1$4))))))))))))',
+        '(E w$1$1$1. (E w$1$1$2. (E w$1$1$3. (E w$1$1$4. (((inc(x,y,z,w ;'
+        ' w$1$1$1,w$1$1$2,w$1$1$3,w$1$1$4) /\\ top) /\\ top) /\\ (E w$2$1$1.'
+        ' (E w$2$1$2. (E w$2$1$3. (E w$2$1$4. (inc(w$2$1$1,w$2$1$2,w$2$1$'
+        '3,w$2$1$4 ; x,y,z,w) /\\ ((w$1$1$1 = w$2$1$3) /\\ (w$1$1$2 = w$2$1'
+        '$4))))))))))))',
+    ),
+}
+
+
+@pytest.mark.parametrize("formula", sorted(ATOM_GOLDEN))
+def test_atom_negate_and_translate_output_is_unchanged(formula, capsys):
+    negation, second_order, in_language = ATOM_GOLDEN[formula]
+    expected = [
+        (["negate"], negation + "\n"),
+        (["--machine", "negate"], "negation=%s\n" % negation),
+        (["translate"], "%s\n%s\n" % (second_order, in_language)),
+        (["--machine", "translate"],
+         "second_order=%s\nin_language=%s\n" % (second_order, in_language)),
+    ]
+    for argv, out in expected:
+        assert main(argv + ["--formula", formula]) == 0
+        assert capsys.readouterr().out == out

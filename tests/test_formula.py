@@ -1,12 +1,18 @@
-import pytest
+import random
 
-from teamlogic.formula import (And, Bot, Const, Dep, Eq, Exists, FOAtom, Forall,
-                               Implies, Inc, Ind, NegEq, NegFOAtom, SeqEq,
-                               SeqNeq, SplitOr, SubstitutionError, Top, Var,
-                               WNeg, alpha_equal, expand_sugar, fo_negate,
-                               free_vars, fresh_var, is_first_order,
-                               is_quantifier_free_fo, sorted_free_vars,
-                               substitute)
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from teamlogic.checks import gen_full
+from teamlogic.formula import (SHAPES, And, Bot, BoolOr, Const, Dep, Eq,
+                               Exists, Exists1, FOAtom, Forall, Forall1,
+                               Formula, Gen, Implies, Inc, Ind, NegEq,
+                               NegFOAtom, SeqEq, SeqNeq, SplitOr,
+                               SubstitutionError, Top, Var, WNeg, alpha_equal,
+                               children, expand_sugar, fo_negate, free_vars,
+                               fresh_var, is_first_order,
+                               is_quantifier_free_fo, rebuild,
+                               sorted_free_vars, substitute, terms)
 
 x, y, z = Var("x"), Var("y"), Var("z")
 
@@ -116,3 +122,54 @@ def test_alpha_equal_nested():
 
 def test_wneg_node_is_not_first_order():
     assert not is_first_order(WNeg(Eq(x, y)))
+
+
+c = Const("c")
+ONE_OF_EACH = [
+    FOAtom("P", (x, c)), NegFOAtom("Q", ()), Eq(x, c), NegEq(c, y), Bot(), Top(),
+    Dep((x, y), (z,)), Ind((x,), (), (y, z)), Inc((x, y), (z, x)),
+    Gen("dep1", (y, x)), And(Eq(x, y), Top()), SplitOr(Bot(), Eq(y, z)),
+    BoolOr(Top(), Bot()), Exists(x, Eq(x, y)), Forall(y, Top()),
+    Exists1(z, Eq(z, c)), Forall1(x, Bot()), WNeg(Dep((), (x,))),
+    Implies(Eq(x, y), Eq(y, x)), SeqEq((x, c), (y, z)), SeqNeq((), ()),
+]
+
+
+def test_every_node_class_has_a_shape():
+    assert set(SHAPES) == set(Formula.__subclasses__())
+    assert {type(phi) for phi in ONE_OF_EACH} == set(SHAPES)
+
+
+@pytest.mark.parametrize("phi", ONE_OF_EACH, ids=lambda phi: type(phi).__name__)
+def test_rebuild_from_children_and_terms_is_the_identity(phi):
+    assert rebuild(phi, children(phi), terms(phi)) == phi
+
+
+def test_shape_of_binders_and_atoms():
+    assert SHAPES[Exists].binder == "v" and terms(Exists(x, Top())) == (x,)
+    assert children(Implies(Bot(), Top())) == (Bot(), Top())
+    assert terms(Ind((x,), (z,), (y,))) == (x, z, y)
+    assert [cls.__name__ for cls, shape in SHAPES.items() if shape.vars_only] == [
+        "Dep", "Ind", "Inc", "Gen"]
+
+
+def _rename_bound(phi):
+    """phi with each bound variable renamed to a fresh one."""
+    kids = [_rename_bound(k) for k in children(phi)]
+    binder = SHAPES[type(phi)].binder
+    if binder is None:
+        return rebuild(phi, kids, terms(phi))
+    v = getattr(phi, binder)
+    w = fresh_var(v.name)
+    return rebuild(phi, [substitute(kids[0], {v: w})], (w,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_alpha_equal_is_renaming_of_bound_variables(seed):
+    phi = gen_full(random.Random(seed))
+    psi = _rename_bound(phi)
+    assert alpha_equal(phi, psi) and alpha_equal(psi, phi)
+    for v in free_vars(phi):
+        changed = substitute(psi, {v: Var("free")})
+        assert not alpha_equal(phi, changed) and not alpha_equal(changed, phi)

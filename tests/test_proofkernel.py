@@ -6,6 +6,7 @@ import pytest
 from teamlogic.entailment import entails_bounded
 from teamlogic.formula import (Const, Eq, FOAtom, Inc, NegEq, NegFOAtom,
                                SeqNeq, Var)
+from teamlogic.genatom import register_builtin_atoms
 from teamlogic.parser import parse_formula
 from teamlogic.negation import wneg
 from teamlogic.proofkernel import (ProofError, bounded_fo_step, check_proof,
@@ -116,6 +117,44 @@ def test_inccmp_requires_every_pattern_occurrence_replaced():
                      "2. x = y ; premise\n"
                      "3. x = y ; IncCmp 1 2\n")
     assert not bad and bad.step == 3
+
+
+def test_exe_accepts_generalized_atoms():
+    # the same proof as over inc(z ; y) in test_exi_and_exe_round_trip
+    atoms = register_builtin_atoms()
+    script = ("1. E z. dep1(z, y) ; premise\n"
+              "assume dep1(w, y)\n"
+              "3. E z. dep1(z, y) ; ExI 2\n"
+              "qed 2\n"
+              "4. E z. dep1(z, y) ; ExE 1 2\n")
+    assert check_proof(parse_proof(script, atoms=atoms), registry=atoms)
+    # the eigenvariable must still be fresh
+    clash = ("1. E z. dep1(z, y) ; premise\n"
+             "assume dep1(y, y)\n"
+             "3. E z. dep1(z, y) ; ExI 2\n"
+             "qed 2\n"
+             "4. E z. dep1(z, y) ; ExE 1 2\n")
+    v = check_proof(parse_proof(clash, atoms=atoms), registry=atoms)
+    assert not v and v.step == 4
+
+
+def test_inccmp_rejects_generalized_atoms():
+    # IncCmp is locally unsound for side variables (next test) and is not
+    # extended beyond the base language: a generalized atom is refused
+    # where the same instance over the native atom passes
+    atoms = register_builtin_atoms()
+    native = check_text("1. inc(a ; x) ; premise\n"
+                        "2. =(x ; y) ; premise\n"
+                        "3. =(a ; y) ; IncCmp 1 2\n")
+    assert native
+    for premise, conclusion in (("dep1(x, y)", "dep1(a, y)"),
+                                ("dep1(x, y) /\\ x = y", "dep1(a, y) /\\ a = y"),
+                                ("dep1(x, y)", "dep1(x, y)")):
+        script = ("1. inc(a ; x) ; premise\n"
+                  "2. %s ; premise\n"
+                  "3. %s ; IncCmp 1 2\n" % (premise, conclusion))
+        v = check_proof(parse_proof(script, atoms=atoms), registry=atoms)
+        assert not v and v.step == 3, script
 
 
 def test_inccmp_side_variable_instances_are_locally_unsound():
