@@ -136,6 +136,25 @@ def test_exe_accepts_generalized_atoms():
              "4. E z. dep1(z, y) ; ExE 1 2\n")
     v = check_proof(parse_proof(clash, atoms=atoms), registry=atoms)
     assert not v and v.step == 4
+    # a binder inside the body pairs only with the same binder, and only
+    # when it does not bind the eigenvariable's pattern variable
+    nested = ("1. E z. E u. dep1(z, u) ; premise\n"
+              "assume %s\n"
+              "3. E z. E u. dep1(z, u) ; ExI 2\n"
+              "qed 2\n"
+              "4. E z. E u. dep1(z, u) ; ExE 1 2\n")
+    assert check_proof(parse_proof(nested % "E u. dep1(w, u)", atoms=atoms),
+                       registry=atoms)
+    v = check_proof(parse_proof(nested % "E z. dep1(w, z)", atoms=atoms), registry=atoms)
+    assert not v and v.step == 4
+    captured = ("1. E z. ((E z. dep1(z, y)) /\\ dep1(z, y)) ; premise\n"
+                "assume (E z. dep1(w, y)) /\\ dep1(w, y)\n"
+                "3. dep1(w, y) ; AndE 2\n"
+                "4. E z. dep1(z, y) ; ExI 3\n"
+                "qed 2\n"
+                "5. E z. dep1(z, y) ; ExE 1 2\n")
+    v = check_proof(parse_proof(captured, atoms=atoms), registry=atoms)
+    assert not v and v.step == 5
 
 
 def test_inccmp_rejects_generalized_atoms():
