@@ -70,6 +70,7 @@ def entails_bounded(hypotheses, conclusion, max_domain=2, team_cap=16,
     notes = []
     by_size = {}
     shared = {}  # domain -> (teams, sampled)
+    witness = None
     for model in enumerate_models(sig, max_domain):
         n_models += 1
         size = by_size.setdefault(len(model.domain),
@@ -92,19 +93,23 @@ def entails_bounded(hypotheses, conclusion, max_domain=2, team_cap=16,
             size["sampled"] = True
             if "sampled teams" not in notes:
                 notes.append("sampled teams")
-        ev = Evaluator(model, registry, budget)
+        ev = Evaluator(model, registry, budget).eval
+        n = 0
         # the shared tee iterator is never advanced: a copy of it starts at
         # the first team and shares the buffer of the teams drawn so far
-        for X in copy.copy(teams):
-            n_teams += 1
-            size["teams"] += 1
-            if all(ev.eval(X, h) for h in hypotheses) and not ev.eval(X, conclusion):
-                return EntailmentVerdict(
-                    COUNTEREXAMPLE, (model, X),
-                    {"models": n_models, "teams": n_teams, "notes": notes,
-                     "by_size": by_size})
+        for n, X in enumerate(copy.copy(teams), 1):
+            for h in hypotheses:
+                if not ev(X, h):
+                    break
+            else:
+                if not ev(X, conclusion):
+                    witness = (model, X)
+                    break
+        n_teams += n
+        size["teams"] += n
+        if witness is not None:
+            break
     return EntailmentVerdict(
-        VALID_UP_TO_BOUND, None,
+        VALID_UP_TO_BOUND if witness is None else COUNTEREXAMPLE, witness,
         {"models": n_models, "teams": n_teams, "notes": notes,
          "by_size": by_size})
-

@@ -2,8 +2,9 @@
 
 Weak negation is expressible only for the negatable fragment: first-order
 formulas, the dependence / independence / inclusion atoms, generalized atoms
-with a first-order defining formula, closed under conjunction, Boolean
-disjunction, the single-value quantifiers, and weak negation itself.
+whose first-order defining formula is in the registry, closed under
+conjunction, Boolean disjunction, the single-value quantifiers, and weak
+negation itself.
 is_negatable_fragment recognizes that fragment syntactically; wneg carries
 out the synthesis.
 """
@@ -35,7 +36,7 @@ def is_negatable_fragment(phi, registry=None):
     if isinstance(phi, (Dep, Ind, Inc)):
         return NegatableReport(True, "dependency atom")
     if isinstance(phi, Gen):
-        if registry is not None and phi.atom_name not in registry:
+        if registry is None or phi.atom_name not in registry:
             return NegatableReport(False, "unregistered atom %s" % phi.atom_name)
         return NegatableReport(True, "generalized atom")
     if isinstance(phi, (And, BoolOr, Exists1, Forall1, WNeg)):

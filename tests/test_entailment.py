@@ -206,3 +206,71 @@ def test_an_over_cap_size_is_sampled_behind_a_generator_wrapper(monkeypatch):
     assert v.searched["by_size"][3] == {"models": 1, "teams": 20, "sampled": True}
     assert [len(model.domain) for model, *_ in calls] == [1, 2]
     assert len(built) == 2 + 256
+
+
+# --- evaluation order and search counts ---------------------------------------
+
+def _record_evals(monkeypatch):
+    """Record every Evaluator.eval call as (model, team, formula), in order;
+    the class method is wrapped as the benchmark tracer wraps it."""
+    from teamlogic.model import print_model
+    from teamlogic.semantics import Evaluator
+    calls = []
+    real = Evaluator.eval
+
+    def recording(self, X, phi):
+        calls.append((print_model(self.model), X, phi))
+        return real(self, X, phi)
+    monkeypatch.setattr(Evaluator, "eval", recording)
+    return calls
+
+
+@pytest.mark.parametrize("hyps, concl, team_cap", [
+    (["=(x;y)", "=(y;z)"], "=(x;z)", 16),
+    (["=(x;y)"], "=(y;x)", 16),
+    (["P(x)", "inc(x,z ; y,z)"], "P(y)", 16),
+    (["=(x;y)", "=(y;z)"], "=(x;z)", 0),  # every team sampled
+])
+def test_the_search_evaluates_as_the_plain_loop_does(monkeypatch, hyps, concl, team_cap):
+    hs, c = [parse_formula(h) for h in hyps], parse_formula(concl)
+    calls = _record_evals(monkeypatch)
+    entails_bounded(hs, c, max_domain=2, team_cap=team_cap, samples=30, seed=2)
+    searched = calls[:]
+    del calls[:]
+    # _reference asks eval_formula, one Evaluator.eval call per formula
+    _reference(hs, c, 2, team_cap, 30, 2)
+    assert searched == calls and len(calls) > 2
+
+
+def _cli_search(hyps, concl):
+    """entails_bounded as `teamlogic entail --max-domain 3` runs it."""
+    return entails_bounded([parse_formula(h) for h in hyps], parse_formula(concl),
+                           max_domain=3, team_cap=16, samples=0, seed=0,
+                           registry=register_builtin_atoms())
+
+
+def test_counts_add_up_over_several_models_per_domain_size():
+    v = _cli_search(["P(x)", "inc(y,z ; x,z)"], "P(y)")
+    assert v
+    assert (v.searched["models"], v.searched["teams"]) == (14, 9028)
+    assert v.searched["by_size"] == {
+        1: {"models": 2, "teams": 4, "sampled": False},
+        2: {"models": 4, "teams": 1024, "sampled": False},
+        3: {"models": 8, "teams": 8000, "sampled": True}}
+
+
+def test_counts_include_the_models_before_a_counterexample():
+    from teamlogic.model import print_model
+    from teamlogic.team import print_team
+    v = _cli_search(["P(x)", "inc(x,z ; y,z)"], "P(y)")
+    assert not v
+    # the first model of domain size 2 passes all its 256 teams; the second
+    # fails at its sixth
+    assert (v.searched["models"], v.searched["teams"]) == (4, 266)
+    assert v.searched["by_size"] == {
+        1: {"models": 2, "teams": 4, "sampled": False},
+        2: {"models": 2, "teams": 262, "sampled": False}}
+    assert v.searched["notes"] == []
+    model, X = v.witness
+    assert print_model(model) + print_team(X) == (
+        "domain e1 e2\nrel P 1\n  e1\nvars x y z\nrow e1 e1 e1\nrow e1 e2 e1\n")

@@ -35,6 +35,16 @@ def test_unregistered_atom_rejected():
         wneg(phi, registry={})
 
 
+def test_generalized_atom_without_registry_is_refused():
+    # no registry holds the defining formula, so the atom cannot be negated
+    from teamlogic.formula import Gen
+    phi = Gen("dep1", (x, y))
+    rep = is_negatable_fragment(phi)
+    assert not rep and rep.reason == "unregistered atom dep1"
+    with pytest.raises(NotNegatableError):
+        wneg(phi)
+
+
 def test_wneg_refuses_outside_fragment():
     with pytest.raises(NotNegatableError):
         wneg(SplitOr(Dep((x,), (y,)), Eq(x, y)))

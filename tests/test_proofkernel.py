@@ -255,3 +255,10 @@ def test_close_formula_scripts_are_accepted():
 def test_close_formula_rejects_shared_free_variables():
     with pytest.raises(ProofError):
         close_formula([parse_formula("=(x ; y)")], parse_formula("inc(x ; b)"))
+
+
+def test_wnege_on_a_generalized_atom_without_registry_is_rejected():
+    text = "assume x != x\n2. bot ; FO 1\nqed 1\n3. dep1(x, y) ; WNegE 1\n"
+    v = check_proof(parse_proof(text, atoms=register_builtin_atoms()))
+    assert not v and v.step == 3
+    assert "unregistered atom dep1" in v.reason
