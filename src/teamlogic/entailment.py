@@ -62,6 +62,9 @@ def entails_bounded(hypotheses, conclusion, max_domain=2, team_cap=16,
     `searched` counts the models and teams tried, in total and, under
     "by_size", per domain size, where "sampled" says whether that size's
     teams were sampled rather than enumerated."""
+    if samples < 0:
+        raise ValueError("samples must be 0 (the default) or positive, got %d"
+                         % samples)
     formulas = list(hypotheses) + [conclusion]
     sig = mentioned_signature(formulas, registry)
     variables = sorted({v.name for phi in formulas for v in free_vars(phi)})

@@ -13,6 +13,7 @@ the first-order sentence over a team relation symbol that expresses an atom,
 and the two team constructions used to justify the translation.
 """
 
+import functools
 import itertools
 import re
 
@@ -127,8 +128,11 @@ def complement(d):
 
 
 # --- builtin atom constructions -----------------------------------------------
+# make_dep, make_ind and make_inc are pure and nothing changes a definition
+# once built, so each definition is built once per process.
 
 
+@functools.cache
 def make_dep(k):
     """Dependence =(x_1..x_k ; y) as a pi atom with one round of two rows."""
     m = k + 1
@@ -138,6 +142,7 @@ def make_dep(k):
     return GeneralizedAtomDef("dep%d" % k, PI, 1, (2,), m, phi)
 
 
+@functools.cache
 def make_ind(k, m, n):
     """Conditional independence x_1..x_k _|_{z_1..z_n} y_1..y_m as a pi atom:
     two universal rows, then one existential row combining them.  Argument
@@ -157,6 +162,7 @@ def make_ind(k, m, n):
     return GeneralizedAtomDef("ind%d_%d_%d" % (k, m, n), PI, 2, (2, 1), arity, phi)
 
 
+@functools.cache
 def make_inc(k):
     """Inclusion x_1..x_k <= y_1..y_k as a pi atom: one universal row, one
     existential row whose y-part matches the first row's x-part."""
@@ -193,6 +199,8 @@ def atom_def_of(phi):
 
 
 def register_builtin_atoms():
+    """A new registry of the builtin atoms; the definitions are shared, the
+    dict is the caller's own."""
     atoms = [make_dep(1), make_dep(2), make_inc(1), make_inc(2),
              make_ind(1, 1, 1), make_ind(1, 1, 0)]
     return {d.name: d for d in atoms}

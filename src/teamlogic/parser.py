@@ -46,29 +46,24 @@ class ParseError(ValueError):
         self.span = span
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<op>->|!=|\|\||/\\|\\/|[().,;=!])|(?P<ident>[A-Za-z_][A-Za-z0-9_$]*))")
+_IDENT = r"[A-Za-z_][A-Za-z0-9_$]*"
+_IDENT_RE = re.compile(_IDENT)
+# One scan: an operator, an identifier, or any other non-space character,
+# which is an error.
+_TOKEN_RE = re.compile(r"(->|!=|\|\||/\\|\\/|[().,;=!])|(%s)|(\S)" % _IDENT)
 
 KEYWORDS = {"E", "A", "E1", "A1", "wneg", "bot", "top", "inc", "ind"}
 
 
 def _tokenize(text):
+    """(text, start, end) per token, then (None, n, n) at the end."""
     toks = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == m.start():
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            at = len(text) - len(rest)
-            raise ParseError("unexpected character %r" % rest[0], SourceSpan(at, at + 1))
-        if m.group("op"):
-            toks.append((m.group("op"), SourceSpan(m.start(1), m.end(1))))
-        else:
-            toks.append((m.group("ident"), SourceSpan(m.start(2), m.end(2))))
-        pos = m.end()
-    toks.append((None, SourceSpan(len(text), len(text))))
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastindex == 3:
+            raise ParseError("unexpected character %r" % m.group(),
+                             SourceSpan(m.start(), m.end()))
+        toks.append((m.group(), m.start(), m.end()))
+    toks.append((None, len(text), len(text)))
     return toks
 
 
@@ -83,33 +78,36 @@ class _Parser:
     def peek(self):
         return self.toks[self.i][0]
 
-    def span(self):
-        return self.toks[self.i][1]
+    def span(self, i=None):
+        """The source span of token i, by default the current one."""
+        _, start, end = self.toks[self.i if i is None else i]
+        return SourceSpan(start, end)
 
     def next(self):
-        t = self.toks[self.i]
+        t = self.toks[self.i][0]
         self.i += 1
         return t
 
     def expect(self, tok):
-        got, span = self.next()
-        if got != tok:
-            raise ParseError("expected %r, got %r" % (tok, got), span)
+        if self.peek() != tok:
+            self.fail("expected %r, got %r" % (tok, self.peek()))
+        self.i += 1
 
-    def fail(self, msg):
-        raise ParseError(msg, self.span())
+    def fail(self, msg, i=None):
+        raise ParseError(msg, self.span(i))
 
     # -- terms ---------------------------------------------------------------
 
     def is_ident(self, t):
-        return t is not None and re.fullmatch(r"[A-Za-z_][A-Za-z0-9_$]*", t) is not None
+        return t is not None and _IDENT_RE.fullmatch(t) is not None
 
     def term(self):
-        t, span = self.next()
+        t = self.peek()
         if not self.is_ident(t) or t in KEYWORDS:
-            raise ParseError("expected a term, got %r" % t, span)
+            self.fail("expected a term, got %r" % t)
         if "$" in t and not self.allow_reserved:
-            raise ParseError("variable %r uses the reserved '$' prefix" % t, span)
+            self.fail("variable %r uses the reserved '$' prefix" % t)
+        self.i += 1
         if t in self.constants:
             return Const(t)
         return Var(t)
@@ -143,11 +141,11 @@ class _Parser:
     def formula(self):
         lhs = self.bor()
         if self.peek() == "->":
-            span = self.span()
+            at = self.i
             self.next()
             rhs = self.formula()
             if not is_first_order(lhs):
-                raise ParseError("implication antecedent must be first-order", span)
+                self.fail("implication antecedent must be first-order", at)
             return Implies(lhs, rhs)
         return lhs
 
@@ -185,11 +183,11 @@ class _Parser:
             self.next()
             return WNeg(self.pre())
         if t == "!":
-            span = self.span()
+            at = self.i
             self.next()
             body = self.pre()
             if not is_first_order(body):
-                raise ParseError("'!' applies to first-order subformulas only", span)
+                self.fail("'!' applies to first-order subformulas only", at)
             return fo_negate(expand_sugar(body))
         return self.prim()
 
@@ -248,8 +246,7 @@ class _Parser:
         if self.is_ident(t) and t not in KEYWORDS:
             # relation/atom application, or a term (in)equality
             save = self.i
-            name_span = self.span()
-            name = self.next()[0]
+            name = self.next()
             if self.peek() == "(" and name not in self.constants:
                 self.next()
                 args = self.termlist()
@@ -257,12 +254,11 @@ class _Parser:
                 if name in self.atoms:
                     d = self.atoms[name]
                     if len(args) != d.m:
-                        raise ParseError(
-                            "atom %s expects %d arguments, got %d" % (name, d.m, len(args)),
-                            name_span)
+                        self.fail("atom %s expects %d arguments, got %d"
+                                  % (name, d.m, len(args)), save)
                     for a in args:
                         if not isinstance(a, Var):
-                            raise ParseError("generalized atoms take variables only", name_span)
+                            self.fail("generalized atoms take variables only", save)
                     return Gen(name, args)
                 return FOAtom(name, args)
             self.i = save
@@ -273,14 +269,15 @@ class _Parser:
         xs = [self.term()]
         while self.is_ident(self.peek()) and self.peek() not in KEYWORDS:
             xs.append(self.term())
-        op, span = self.next()
+        at = self.i
+        op = self.next()
         if op not in ("=", "!="):
-            raise ParseError("expected '=' or '!=' after term sequence", span)
+            self.fail("expected '=' or '!=' after term sequence", at)
         ys = [self.term()]
         while self.is_ident(self.peek()) and self.peek() not in KEYWORDS:
             ys.append(self.term())
         if len(xs) != len(ys):
-            raise ParseError("sequence comparison sides must have equal length", span)
+            self.fail("sequence comparison sides must have equal length", at)
         if len(xs) == 1:
             return Eq(xs[0], ys[0]) if op == "=" else NegEq(xs[0], ys[0])
         if op == "=":
@@ -312,46 +309,47 @@ def _pseq(ts):
 def print_formula(phi):
     """Fully parenthesized canonical form; parse_formula round-trips it
     (pass the same constants/atoms, and allow_reserved for generated names)."""
-    if isinstance(phi, FOAtom):
-        return "%s(%s)" % (phi.rel, _pseq(phi.args))
-    if isinstance(phi, NegFOAtom):
-        return "!%s(%s)" % (phi.rel, _pseq(phi.args))
-    if isinstance(phi, Eq):
-        return "(%s = %s)" % (_pterm(phi.lhs), _pterm(phi.rhs))
-    if isinstance(phi, NegEq):
-        return "(%s != %s)" % (_pterm(phi.lhs), _pterm(phi.rhs))
-    if isinstance(phi, Bot):
-        return "bot"
-    if isinstance(phi, Top):
-        return "top"
-    if isinstance(phi, Dep):
-        return "=(%s ; %s)" % (_pseq(phi.determiners), _pseq(phi.dependent))
-    if isinstance(phi, Ind):
-        return "ind(%s ; %s ; %s)" % (_pseq(phi.xs), _pseq(phi.zs), _pseq(phi.ys))
-    if isinstance(phi, Inc):
-        return "inc(%s ; %s)" % (_pseq(phi.xs), _pseq(phi.ys))
-    if isinstance(phi, Gen):
-        return "%s(%s)" % (phi.atom_name, _pseq(phi.args))
-    if isinstance(phi, And):
-        return "(%s /\\ %s)" % (print_formula(phi.l), print_formula(phi.r))
-    if isinstance(phi, SplitOr):
-        return "(%s \\/ %s)" % (print_formula(phi.l), print_formula(phi.r))
-    if isinstance(phi, BoolOr):
-        return "(%s || %s)" % (print_formula(phi.l), print_formula(phi.r))
-    if isinstance(phi, Exists):
-        return "(E %s. %s)" % (phi.v.name, print_formula(phi.body))
-    if isinstance(phi, Forall):
-        return "(A %s. %s)" % (phi.v.name, print_formula(phi.body))
-    if isinstance(phi, Exists1):
-        return "(E1 %s. %s)" % (phi.v.name, print_formula(phi.body))
-    if isinstance(phi, Forall1):
-        return "(A1 %s. %s)" % (phi.v.name, print_formula(phi.body))
-    if isinstance(phi, WNeg):
-        return "(wneg %s)" % print_formula(phi.body)
-    if isinstance(phi, Implies):
-        return "(%s -> %s)" % (print_formula(phi.ante), print_formula(phi.cons))
-    if isinstance(phi, SeqEq):
-        return "(%s = %s)" % (" ".join(map(_pterm, phi.xs)), " ".join(map(_pterm, phi.ys)))
-    if isinstance(phi, SeqNeq):
-        return "(%s != %s)" % (" ".join(map(_pterm, phi.xs)), " ".join(map(_pterm, phi.ys)))
-    raise TypeError("not a formula: %r" % (phi,))
+    clause = _PRINT.get(type(phi))
+    if clause is None:
+        raise TypeError("not a formula: %r" % (phi,))
+    return clause(phi)
+
+
+def _binary(op):
+    return lambda phi: "(%s %s %s)" % (print_formula(phi.l), op, print_formula(phi.r))
+
+
+def _quantifier(q):
+    return lambda phi: "(%s %s. %s)" % (q, phi.v.name, print_formula(phi.body))
+
+
+def _sequences(op):
+    return lambda phi: "(%s %s %s)" % (" ".join(map(_pterm, phi.xs)), op,
+                                      " ".join(map(_pterm, phi.ys)))
+
+
+# The clauses of print_formula, one per node class.  Like those of
+# eval_single, they recurse through the module-level name.
+_PRINT = {
+    FOAtom: lambda phi: "%s(%s)" % (phi.rel, _pseq(phi.args)),
+    NegFOAtom: lambda phi: "!%s(%s)" % (phi.rel, _pseq(phi.args)),
+    Eq: lambda phi: "(%s = %s)" % (_pterm(phi.lhs), _pterm(phi.rhs)),
+    NegEq: lambda phi: "(%s != %s)" % (_pterm(phi.lhs), _pterm(phi.rhs)),
+    Bot: lambda phi: "bot",
+    Top: lambda phi: "top",
+    Dep: lambda phi: "=(%s ; %s)" % (_pseq(phi.determiners), _pseq(phi.dependent)),
+    Ind: lambda phi: "ind(%s ; %s ; %s)" % (_pseq(phi.xs), _pseq(phi.zs), _pseq(phi.ys)),
+    Inc: lambda phi: "inc(%s ; %s)" % (_pseq(phi.xs), _pseq(phi.ys)),
+    Gen: lambda phi: "%s(%s)" % (phi.atom_name, _pseq(phi.args)),
+    And: _binary("/\\"),
+    SplitOr: _binary("\\/"),
+    BoolOr: _binary("||"),
+    Exists: _quantifier("E"),
+    Forall: _quantifier("A"),
+    Exists1: _quantifier("E1"),
+    Forall1: _quantifier("A1"),
+    WNeg: lambda phi: "(wneg %s)" % print_formula(phi.body),
+    Implies: lambda phi: "(%s -> %s)" % (print_formula(phi.ante), print_formula(phi.cons)),
+    SeqEq: _sequences("="),
+    SeqNeq: _sequences("!="),
+}

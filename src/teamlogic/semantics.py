@@ -78,37 +78,43 @@ def term_value(t, s, model):
 def eval_single(model, s, phi):
     """Tarskian truth of a first-order formula under a single assignment
     (dict variable-name -> element)."""
-    if isinstance(phi, FOAtom):
-        return tuple(term_value(a, s, model) for a in phi.args) in model.rel(phi.rel)
-    if isinstance(phi, NegFOAtom):
-        return tuple(term_value(a, s, model) for a in phi.args) not in model.rel(phi.rel)
-    if isinstance(phi, Eq):
-        return term_value(phi.lhs, s, model) == term_value(phi.rhs, s, model)
-    if isinstance(phi, NegEq):
-        return term_value(phi.lhs, s, model) != term_value(phi.rhs, s, model)
-    if isinstance(phi, Bot):
-        return False
-    if isinstance(phi, Top):
-        return True
-    if isinstance(phi, And):
-        return eval_single(model, s, phi.l) and eval_single(model, s, phi.r)
-    if isinstance(phi, SplitOr):
-        return eval_single(model, s, phi.l) or eval_single(model, s, phi.r)
-    if isinstance(phi, Exists):
-        return any(eval_single(model, {**s, phi.v.name: a}, phi.body)
-                   for a in model.domain)
-    if isinstance(phi, Forall):
-        return all(eval_single(model, {**s, phi.v.name: a}, phi.body)
-                   for a in model.domain)
-    if isinstance(phi, Implies):
-        return (not eval_single(model, s, phi.ante)) or eval_single(model, s, phi.cons)
-    if isinstance(phi, SeqEq):
-        return all(term_value(a, s, model) == term_value(b, s, model)
-                   for a, b in zip(phi.xs, phi.ys))
-    if isinstance(phi, SeqNeq):
-        return any(term_value(a, s, model) != term_value(b, s, model)
-                   for a, b in zip(phi.xs, phi.ys))
-    raise EvalError("eval_single expects a first-order formula, got %r" % (phi,))
+    clause = _SINGLE.get(type(phi))
+    if clause is None:
+        raise EvalError("eval_single expects a first-order formula, got %r" % (phi,))
+    return clause(model, s, phi)
+
+
+# The clauses of eval_single, one per first-order node class.  They recurse
+# through the module-level name, so a wrapper swapped in for it (as
+# bench/tracer.py does) sees the nested calls too.
+_SINGLE = {
+    FOAtom: lambda model, s, phi:
+        tuple(term_value(a, s, model) for a in phi.args) in model.rel(phi.rel),
+    NegFOAtom: lambda model, s, phi:
+        tuple(term_value(a, s, model) for a in phi.args) not in model.rel(phi.rel),
+    Eq: lambda model, s, phi:
+        term_value(phi.lhs, s, model) == term_value(phi.rhs, s, model),
+    NegEq: lambda model, s, phi:
+        term_value(phi.lhs, s, model) != term_value(phi.rhs, s, model),
+    Bot: lambda model, s, phi: False,
+    Top: lambda model, s, phi: True,
+    And: lambda model, s, phi:
+        eval_single(model, s, phi.l) and eval_single(model, s, phi.r),
+    SplitOr: lambda model, s, phi:
+        eval_single(model, s, phi.l) or eval_single(model, s, phi.r),
+    Exists: lambda model, s, phi:
+        any(eval_single(model, {**s, phi.v.name: a}, phi.body) for a in model.domain),
+    Forall: lambda model, s, phi:
+        all(eval_single(model, {**s, phi.v.name: a}, phi.body) for a in model.domain),
+    Implies: lambda model, s, phi:
+        (not eval_single(model, s, phi.ante)) or eval_single(model, s, phi.cons),
+    SeqEq: lambda model, s, phi:
+        all(term_value(a, s, model) == term_value(b, s, model)
+            for a, b in zip(phi.xs, phi.ys)),
+    SeqNeq: lambda model, s, phi:
+        any(term_value(a, s, model) != term_value(b, s, model)
+            for a, b in zip(phi.xs, phi.ys)),
+}
 
 
 def _nonempty_subsets(domain):

@@ -174,6 +174,15 @@ def test_entail_says_when_teams_were_sampled(capsys):
     assert "search=exhaustive" in capsys.readouterr().out.splitlines()
 
 
+def test_entail_refuses_a_negative_sample_count(capsys):
+    argv = ["entail", "--hyp", "=(x;y)", "--concl", "=(y;x)", "--max-domain", "3",
+            "--team-cap", "0", "--samples", "-5"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "samples" in captured.err
+
+
 def test_machine_flag_before_or_after_the_subcommand(capsys):
     argv = ["entail", "--hyp", "=(x ; y)", "--concl", "=(y ; x)"]
     assert main(["--machine"] + argv) == 1
@@ -330,3 +339,17 @@ def test_atom_negate_and_translate_output_is_unchanged(formula, capsys):
     for argv, out in expected:
         assert main(argv + ["--formula", formula]) == 0
         assert capsys.readouterr().out == out
+
+
+def test_atom_commands_print_the_same_bytes_when_repeated(capsys):
+    # the atom definitions are shared between calls; a call may not leave
+    # anything in them that changes the next call's output
+    def one_round():
+        outs = []
+        for formula in sorted(ATOM_GOLDEN):
+            for command in ("negate", "translate"):
+                assert main([command, "--formula", formula]) == 0
+                outs.append(capsys.readouterr().out)
+        return outs
+
+    assert one_round() == one_round()

@@ -60,6 +60,13 @@ def test_sampling_mode_reports_itself():
     assert "sampled teams" in v.searched["notes"]
 
 
+def test_a_negative_sample_count_is_refused():
+    # a negative count would draw no team and read as valid after 0 teams
+    with pytest.raises(ValueError, match="samples"):
+        entails_bounded([Dep((x,), (y,))], Dep((y,), (x,)), max_domain=3,
+                        team_cap=0, samples=-5)
+
+
 def test_rule_soundness_check_delegates():
     assert entails_bounded([Dep((x,), (y,)), Dep((y,), (z,))],
                            Dep((x,), (z,)), max_domain=2)

@@ -23,6 +23,18 @@ def test_builtin_registry_names():
     assert atoms["ind1_1_1"].m == 3
 
 
+def test_definitions_are_shared_and_registries_are_not():
+    assert make_ind(1, 1, 0) is make_ind(1, 1, 0)
+    assert make_dep(2) is make_dep(2) and make_inc(1) is make_inc(1)
+    first, second = register_builtin_atoms(), register_builtin_atoms()
+    assert first is not second
+    assert first.keys() == second.keys()
+    assert all(first[name] is second[name] for name in first)
+    first["mine"] = make_dep(3)
+    assert "mine" not in second
+    assert "mine" not in register_builtin_atoms()
+
+
 def test_eval_direct_dep():
     d = make_dep(1)
     X = Team(("x", "y"), [("0", "0"), ("0", "1")])

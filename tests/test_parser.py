@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from teamlogic.checks import gen_full
-from teamlogic.formula import (And, BoolOr, Const, Dep, Eq, Exists, Exists1,
-                               FOAtom, Implies, Inc, Ind, SeqEq, SplitOr, Var,
-                               WNeg)
+from teamlogic.formula import (SHAPES, And, Bot, BoolOr, Const, Dep, Eq, Exists,
+                               Exists1, FOAtom, Forall, Forall1, Gen, Implies,
+                               Inc, Ind, NegEq, NegFOAtom, SeqEq, SeqNeq,
+                               SplitOr, Top, Var, WNeg)
+from teamlogic.genatom import register_builtin_atoms
 from teamlogic.parser import ParseError, parse_formula, print_formula
 
 x, y, z = Var("x"), Var("y"), Var("z")
@@ -95,6 +97,61 @@ def test_parse_error_positions():
         parse_formula("(x = y")
     with pytest.raises(ParseError):
         parse_formula("")
+
+
+# The message and span of each error are pinned: spans count tabs and
+# newlines as one character, and a faster tokenizer may not move them.
+@pytest.mark.parametrize("text, message, span", [
+    ("", "expected a formula, got None (at 0..0)", (0, 0)),
+    ("   ", "expected a formula, got None (at 3..3)", (3, 3)),
+    ("x = ", "expected a term, got None (at 4..4)", (4, 4)),
+    ("(x = y", "expected ')', got None (at 6..6)", (6, 6)),
+    ("  @", "unexpected character '@' (at 2..3)", (2, 3)),
+    ("x # y", "unexpected character '#' (at 2..3)", (2, 3)),
+    ("=(x;y) %", "unexpected character '%' (at 7..8)", (7, 8)),
+    ("x =\ty /\\\t%", "unexpected character '%' (at 9..10)", (9, 10)),
+    ("=(x;\ny)\n/\\ ?", "unexpected character '?' (at 11..12)", (11, 12)),
+    ("x\t# y", "unexpected character '#' (at 2..3)", (2, 3)),
+    ("x =\t", "expected a term, got None (at 4..4)", (4, 4)),
+    ("(x = y\n", "expected ')', got None (at 7..7)", (7, 7)),
+    ("E x.\n\t=(x ;)", "dependence atom needs a dependent part (at 12..12)", (12, 12)),
+    ("w$1$1$1 = x", "variable 'w$1$1$1' uses the reserved '$' prefix (at 0..7)", (0, 7)),
+    ("x = y$2", "variable 'y$2' uses the reserved '$' prefix (at 4..7)", (4, 7)),
+    ("dep1(x)", "atom dep1 expects 2 arguments, got 1 (at 0..4)", (0, 4)),
+    ("x = y /\\ inc1(x, y, z)", "atom inc1 expects 2 arguments, got 3 (at 9..13)",
+     (9, 13)),
+])
+def test_parse_error_messages_and_spans(text, message, span):
+    with pytest.raises(ParseError) as err:
+        parse_formula(text, atoms=register_builtin_atoms())
+    assert str(err.value) == message
+    assert (err.value.span.start, err.value.span.end) == span
+
+
+def test_tabs_and_newlines_separate_tokens():
+    assert parse_formula("x\t=\ny") == Eq(x, y)
+
+
+# One node of each class of formula.SHAPES, written so that the printer's
+# output parses back to it (with the constant c and the builtin atoms).
+_c = Const("c")
+PRINTABLE = {type(phi): phi for phi in [
+    FOAtom("P", (x, _c)), NegFOAtom("Q", (y, x)), Eq(x, _c), NegEq(_c, y),
+    Bot(), Top(), Dep((x, y), (z,)), Ind((x,), (), (y, z)), Inc((x, y), (z, x)),
+    Gen("dep1", (y, x)), And(Eq(x, y), Top()), SplitOr(Bot(), Eq(y, z)),
+    BoolOr(Top(), Bot()), Exists(x, Eq(x, y)), Forall(y, Top()),
+    Exists1(z, Eq(z, _c)), Forall1(x, Bot()), WNeg(Dep((), (x,))),
+    Implies(Eq(x, y), Eq(y, x)), SeqEq((x, _c), (y, z)), SeqNeq((x, y), (z, _c)),
+]}
+
+
+@pytest.mark.parametrize("cls", sorted(SHAPES, key=lambda cls: cls.__name__),
+                         ids=lambda cls: cls.__name__)
+def test_every_node_class_prints_and_parses_back(cls):
+    phi = PRINTABLE[cls]
+    text = print_formula(phi)
+    assert parse_formula(text, constants=("c",), atoms=register_builtin_atoms(),
+                         expand=False) == phi
 
 
 @settings(max_examples=200, deadline=None)

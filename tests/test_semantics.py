@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 import oracle_atoms
 from teamlogic.checks import default_model, gen_downward, gen_fo
-from teamlogic.formula import (And, BoolOr, Bot, Const, Dep, Eq, Exists,
-                               Exists1, FOAtom, Forall, Forall1, Inc, Ind,
-                               NegEq, NegFOAtom, SplitOr, Top, Var, WNeg,
-                               free_vars)
-from teamlogic.semantics import (BudgetExceeded, EvalBudget, eval_formula,
-                                 eval_single)
+from teamlogic.formula import (_FIRST_ORDER, SHAPES, And, BoolOr, Bot, Const,
+                               Dep, Eq, Exists, Exists1, FOAtom, Forall,
+                               Forall1, Inc, Ind, NegEq, NegFOAtom, SplitOr,
+                               Top, Var, WNeg, free_vars)
+from teamlogic.semantics import (BudgetExceeded, EvalBudget, EvalError,
+                                 eval_formula, eval_single)
 from teamlogic.model import Model
 from teamlogic.team import Team
 
@@ -172,6 +172,20 @@ def test_eval_single_handles_sugar():
     s = {"x": "0", "y": "0"}
     assert eval_single(M, s, Implies(Eq(x, y), Eq(y, x)))
     assert eval_single(M, s, SeqEq((x, y), (y, x)))
+
+
+@pytest.mark.parametrize("cls", sorted(SHAPES, key=lambda cls: cls.__name__),
+                         ids=lambda cls: cls.__name__)
+def test_eval_single_decides_exactly_the_first_order_classes(cls):
+    from test_formula import ONE_OF_EACH
+    phi = {type(f): f for f in ONE_OF_EACH}[cls]
+    model = Model(("0", "1"), {"P": [("1", "1")], "Q": [()]}, {"c": "1"})
+    s = {"x": "0", "y": "1", "z": "1"}
+    if cls in _FIRST_ORDER:
+        assert eval_single(model, s, phi) in (True, False)
+    else:
+        with pytest.raises(EvalError, match="eval_single expects a first-order formula"):
+            eval_single(model, s, phi)
 
 
 def test_budget_refuses_rather_than_approximates():
