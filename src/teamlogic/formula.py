@@ -6,35 +6,122 @@ WNeg.  A few surface-level sugar nodes (Implies, SeqEq, SeqNeq) are kept
 around so proof scripts can talk about sequence equalities the way the
 literature writes them; expand_sugar rewrites them away.
 
-The shape table SHAPES is the one place a node class declares its fields: it
-is read off the annotations of the class's dataclass fields.  A Formula field
-holds a subformula, a Var field the variable the node binds, a Term field one
-term, a tuple[Term, ...] field a sequence of terms and a tuple[Var, ...]
-field a sequence of variables only (the arguments of Dep, Ind, Inc and Gen);
-any other field (the name of a relation or atom) is a label.  children,
-terms and rebuild read the table, and so do the traversals over it:
-free_vars, substitute, expand_sugar, is_first_order, subformulas and match.
-A new node class needs nothing more here than its annotated fields (and, if
-it is first-order, its entry in _QUANTIFIER_FREE_FO or _FIRST_ORDER); the
-clauses that give it a meaning (the evaluator, the printer, fo_negate) are
-written out where they live.
+A node class declares its fields once, as annotations in its class body, in
+constructor order; Node reads them when the class is created and gives the
+class its constructor, equality, hash and repr.  The shape table SHAPES is
+read off the same annotations.  A Formula field holds a subformula, a Var
+field the variable the node binds, a Term field one term, a tuple[Term, ...]
+field a sequence of terms and a tuple[Var, ...] field a sequence of variables
+only (the arguments of Dep, Ind, Inc and Gen); any other field (the name of a
+relation or atom) is a label.  children, terms and rebuild read the table,
+and so do the traversals over it: free_vars, substitute, expand_sugar,
+is_first_order, subformulas and match.  A new node class needs nothing more
+here than its annotated fields (and, if it is first-order, its entry in
+_QUANTIFIER_FREE_FO or _FIRST_ORDER); the clauses that give it a meaning (the
+evaluator, the printer, fo_negate) are written out where they live.
 """
 
-from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import NamedTuple
+
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class Var:
+def _init(cls, _check):
+    """The __init__ of a node class: one argument per field, named as the
+    field, each stored in the instance __dict__; then the class's own
+    __post_init__ check, if it has one.  One template per arity, as a loop
+    over the arguments makes every construction slower; the template's
+    parameters are renamed to the fields, so fields pass by keyword too."""
+    names = cls._fields
+    if not names:
+        def __init__(self):
+            if _check is not None:
+                _check(self)
+    elif len(names) == 1:
+        (_a,) = names
+
+        def __init__(self, a):
+            _set(self, _a, a)
+            if _check is not None:
+                _check(self)
+    elif len(names) == 2:
+        _a, _b = names
+
+        def __init__(self, a, b):
+            _set(self, _a, a)
+            _set(self, _b, b)
+            if _check is not None:
+                _check(self)
+    elif len(names) == 3:
+        _a, _b, _c = names
+
+        def __init__(self, a, b, c):
+            _set(self, _a, a)
+            _set(self, _b, b)
+            _set(self, _c, c)
+            if _check is not None:
+                _check(self)
+    else:
+        raise TypeError("a node class has at most three fields")
+    __init__.__code__ = __init__.__code__.replace(co_varnames=("self",) + names)
+    __init__.__qualname__ = cls.__qualname__ + ".__init__"
+    return __init__
+
+
+class Node:
+    """An immutable tree node whose fields are its class's own annotations.
+    Two nodes are equal iff they are of the same class with equal fields.
+    A node's hash is computed once, on first use, and kept in the instance
+    __dict__; until then the class-level None stands in."""
+
+    __slots__ = ()
+    _hash = None
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+        # what equality compares and the hash hashes: the one field, the
+        # tuple of the fields, or for a class without fields the class
+        cls._key = attrgetter(*cls._fields) if cls._fields else type
+        cls.__init__ = _init(cls, vars(cls).get("__post_init__"))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash(self._key(self))
+            _set(self, "_hash", h)
+        return h
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self._fields))
+
+    def __getstate__(self):
+        # string hashes differ between interpreters: never pickle the cache
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+
+class Var(Node):
     name: str
 
     def __repr__(self):
         return "Var(%s)" % self.name
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(Node):
     name: str
 
     def __repr__(self):
@@ -44,193 +131,15 @@ class Const:
 Term = Var | Const
 
 
-class Formula:
-    """Base class; subclasses are frozen dataclasses and hence hashable.
-    Each node's hash is computed once, on first use, by the dataclass field
-    hash and kept in the instance __dict__; until then the class-level None
-    stands in (see _cached_hash)."""
+class Formula(Node):
+    """Base class of the formula nodes.  Creating a subclass enters its
+    shape, read off its annotated fields, into SHAPES."""
 
     __slots__ = ()
-    _hash = None
 
-    def __getstate__(self):
-        # string hashes differ between interpreters: never pickle the cache
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
-
-
-@dataclass(frozen=True)
-class FOAtom(Formula):
-    rel: str
-    args: tuple[Term, ...]
-
-
-@dataclass(frozen=True)
-class NegFOAtom(Formula):
-    rel: str
-    args: tuple[Term, ...]
-
-
-@dataclass(frozen=True)
-class Eq(Formula):
-    lhs: Term
-    rhs: Term
-
-
-@dataclass(frozen=True)
-class NegEq(Formula):
-    lhs: Term
-    rhs: Term
-
-
-@dataclass(frozen=True)
-class Bot(Formula):
-    pass
-
-
-@dataclass(frozen=True)
-class Top(Formula):
-    pass
-
-
-@dataclass(frozen=True)
-class Dep(Formula):
-    """Dependence atom =(determiners; dependent).  The dependent part may be
-    a sequence (evaluated via the equivalence =(x,y) == y _|_x y)."""
-
-    determiners: tuple[Var, ...]
-    dependent: tuple[Var, ...]  # nonempty
-
-    def __post_init__(self):
-        if len(self.dependent) < 1:
-            raise ValueError("dependence atom needs a dependent variable")
-
-
-@dataclass(frozen=True)
-class Ind(Formula):
-    """Independence atom xs _|_zs ys."""
-
-    xs: tuple[Var, ...]
-    zs: tuple[Var, ...]
-    ys: tuple[Var, ...]
-
-
-@dataclass(frozen=True)
-class Inc(Formula):
-    """Inclusion atom xs (= ys, componentwise sequences of equal length."""
-
-    xs: tuple[Var, ...]
-    ys: tuple[Var, ...]
-
-    def __post_init__(self):
-        if len(self.xs) != len(self.ys):
-            raise ValueError("inclusion atom sides must have equal length")
-
-
-@dataclass(frozen=True)
-class Gen(Formula):
-    """Occurrence of a registered generalized atom."""
-
-    atom_name: str
-    args: tuple[Var, ...]
-
-
-@dataclass(frozen=True)
-class And(Formula):
-    l: Formula
-    r: Formula
-
-
-@dataclass(frozen=True)
-class SplitOr(Formula):
-    """Team-splitting disjunction."""
-
-    l: Formula
-    r: Formula
-
-
-@dataclass(frozen=True)
-class BoolOr(Formula):
-    """Boolean (non-splitting) disjunction."""
-
-    l: Formula
-    r: Formula
-
-
-@dataclass(frozen=True)
-class Exists(Formula):
-    v: Var
-    body: Formula
-
-
-@dataclass(frozen=True)
-class Forall(Formula):
-    v: Var
-    body: Formula
-
-
-@dataclass(frozen=True)
-class Exists1(Formula):
-    """Exists-one: some single value for v works uniformly on the team."""
-
-    v: Var
-    body: Formula
-
-
-@dataclass(frozen=True)
-class Forall1(Formula):
-    v: Var
-    body: Formula
-
-
-@dataclass(frozen=True)
-class WNeg(Formula):
-    body: Formula
-
-
-# --- sugar ------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Implies(Formula):
-    """FO-antecedent implication, sugar for fo_negate(ante) \\/ cons."""
-
-    ante: Formula
-    cons: Formula
-
-
-@dataclass(frozen=True)
-class SeqEq(Formula):
-    xs: tuple[Term, ...]
-    ys: tuple[Term, ...]
-
-    def __post_init__(self):
-        if len(self.xs) != len(self.ys):
-            raise ValueError("sequence equality sides must have equal length")
-
-
-@dataclass(frozen=True)
-class SeqNeq(Formula):
-    xs: tuple[Term, ...]
-    ys: tuple[Term, ...]
-
-    def __post_init__(self):
-        if len(self.xs) != len(self.ys):
-            raise ValueError("sequence inequality sides must have equal length")
-
-
-def _cached_hash(self):
-    h = self._hash
-    if h is None:
-        h = self._field_hash()
-        object.__setattr__(self, "_hash", h)
-    return h
-
-
-for _cls in Formula.__subclasses__():
-    _cls._field_hash = _cls.__hash__
-    _cls.__hash__ = _cached_hash
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        SHAPES[cls] = Shape(cls)
 
 
 # --- the shape table ----------------------------------------------------------
@@ -238,14 +147,6 @@ for _cls in Formula.__subclasses__():
 SUB, BINDER, TERM, TERMS, VARS, LABEL = "sub", "binder", "term", "terms", "vars", "label"
 _KINDS = {Formula: SUB, Var: BINDER, Term: TERM,
           tuple[Term, ...]: TERMS, tuple[Var, ...]: VARS}
-
-
-class Shape(NamedTuple):
-    fields: tuple     # (name, kind) per dataclass field, in constructor order
-    binder: object    # the name of the bound-variable field, or None
-    vars_only: bool   # the term fields hold variables only
-    children: object  # node -> tuple of its subformulas
-    terms: object     # node -> tuple of its terms, the bound variable included
 
 
 def _values(names):
@@ -258,19 +159,175 @@ def _values(names):
     return get if len(names) > 1 else lambda phi: (get(phi),)
 
 
-def _shape(cls):
-    kinds = tuple((f.name, _KINDS.get(f.type, LABEL)) for f in fields(cls))
-    named = lambda *wanted: tuple(name for name, kind in kinds if kind in wanted)
-    if named(TERMS, VARS):  # no class has both single terms and term sequences
-        sequences = _values(named(TERMS, VARS))
-        terms = lambda phi: sum(sequences(phi), ())
-    else:
-        terms = _values(named(BINDER, TERM))
-    return Shape(kinds, (named(BINDER) or (None,))[0], bool(named(VARS)),
-                 _values(named(SUB)), terms)
+class Shape:
+    """The fields of a formula node class: fields, its (name, kind) pairs in
+    constructor order; binder, the name of the bound-variable field or None;
+    vars_only, whether its term fields hold variables only; and the readers
+    children and terms, node -> tuple of its subformulas or of its terms,
+    the bound variable included."""
+
+    __slots__ = ("fields", "binder", "vars_only", "children", "terms")
+
+    def __init__(self, cls):
+        self.fields = kinds = tuple((name, _KINDS.get(annotation, LABEL))
+                                    for name, annotation in cls.__annotations__.items())
+        named = lambda *wanted: tuple(name for name, kind in kinds if kind in wanted)
+        self.binder = (named(BINDER) or (None,))[0]
+        self.vars_only = bool(named(VARS))
+        self.children = _values(named(SUB))
+        if named(TERMS, VARS):  # no class has both single terms and term sequences
+            sequences = _values(named(TERMS, VARS))
+            self.terms = lambda phi: sum(sequences(phi), ())
+        else:
+            self.terms = _values(named(BINDER, TERM))
 
 
-SHAPES = {cls: _shape(cls) for cls in Formula.__subclasses__()}
+SHAPES = {}  # formula node class -> Shape, in the order the classes are defined
+
+
+# --- the formula node classes -------------------------------------------------
+
+
+class FOAtom(Formula):
+    rel: str
+    args: tuple[Term, ...]
+
+
+class NegFOAtom(Formula):
+    rel: str
+    args: tuple[Term, ...]
+
+
+class Eq(Formula):
+    lhs: Term
+    rhs: Term
+
+
+class NegEq(Formula):
+    lhs: Term
+    rhs: Term
+
+
+class Bot(Formula):
+    pass
+
+
+class Top(Formula):
+    pass
+
+
+class Dep(Formula):
+    """Dependence atom =(determiners; dependent).  The dependent part may be
+    a sequence (evaluated via the equivalence =(x,y) == y _|_x y)."""
+
+    determiners: tuple[Var, ...]
+    dependent: tuple[Var, ...]  # nonempty
+
+    def __post_init__(self):
+        if len(self.dependent) < 1:
+            raise ValueError("dependence atom needs a dependent variable")
+
+
+class Ind(Formula):
+    """Independence atom xs _|_zs ys."""
+
+    xs: tuple[Var, ...]
+    zs: tuple[Var, ...]
+    ys: tuple[Var, ...]
+
+
+class Inc(Formula):
+    """Inclusion atom xs (= ys, componentwise sequences of equal length."""
+
+    xs: tuple[Var, ...]
+    ys: tuple[Var, ...]
+
+    def __post_init__(self):
+        if len(self.xs) != len(self.ys):
+            raise ValueError("inclusion atom sides must have equal length")
+
+
+class Gen(Formula):
+    """Occurrence of a registered generalized atom."""
+
+    atom_name: str
+    args: tuple[Var, ...]
+
+
+class And(Formula):
+    l: Formula
+    r: Formula
+
+
+class SplitOr(Formula):
+    """Team-splitting disjunction."""
+
+    l: Formula
+    r: Formula
+
+
+class BoolOr(Formula):
+    """Boolean (non-splitting) disjunction."""
+
+    l: Formula
+    r: Formula
+
+
+class Exists(Formula):
+    v: Var
+    body: Formula
+
+
+class Forall(Formula):
+    v: Var
+    body: Formula
+
+
+class Exists1(Formula):
+    """Exists-one: some single value for v works uniformly on the team."""
+
+    v: Var
+    body: Formula
+
+
+class Forall1(Formula):
+    v: Var
+    body: Formula
+
+
+class WNeg(Formula):
+    body: Formula
+
+
+# --- sugar ------------------------------------------------------------------
+
+
+class Implies(Formula):
+    """FO-antecedent implication, sugar for fo_negate(ante) \\/ cons."""
+
+    ante: Formula
+    cons: Formula
+
+
+class SeqEq(Formula):
+    xs: tuple[Term, ...]
+    ys: tuple[Term, ...]
+
+    def __post_init__(self):
+        if len(self.xs) != len(self.ys):
+            raise ValueError("sequence equality sides must have equal length")
+
+
+class SeqNeq(Formula):
+    xs: tuple[Term, ...]
+    ys: tuple[Term, ...]
+
+    def __post_init__(self):
+        if len(self.xs) != len(self.ys):
+            raise ValueError("sequence inequality sides must have equal length")
+
+
+# --- traversal over the shape table -------------------------------------------
 
 
 def children(phi):

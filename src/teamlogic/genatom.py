@@ -61,6 +61,7 @@ class GeneralizedAtomDef:
         self.k = tuple(k)
         self.m = m
         self.phiR = phiR
+        self._complement = None
 
     @property
     def relation_arity(self):
@@ -121,10 +122,14 @@ def _bind(env, d, i, rows):
 
 
 def complement(d):
-    """The weak negation of the atom: dual polarity, complemented relation."""
-    pol = PI if d.polarity == SIGMA else SIGMA
-    return GeneralizedAtomDef("co_" + d.name, pol, d.n, d.k, d.m,
-                              fo_negate(d.phiR))
+    """The weak negation of the atom: dual polarity, complemented relation.
+    Built once per definition and kept on it: a definition's fields do not
+    change after __init__."""
+    if d._complement is None:
+        pol = PI if d.polarity == SIGMA else SIGMA
+        d._complement = GeneralizedAtomDef("co_" + d.name, pol, d.n, d.k, d.m,
+                                           fo_negate(d.phiR))
+    return d._complement
 
 
 # --- builtin atom constructions -----------------------------------------------

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -143,6 +145,59 @@ def test_every_node_class_has_a_shape():
 @pytest.mark.parametrize("phi", ONE_OF_EACH, ids=lambda phi: type(phi).__name__)
 def test_rebuild_from_children_and_terms_is_the_identity(phi):
     assert rebuild(phi, children(phi), terms(phi)) == phi
+
+
+def _field_names(cls):
+    return [name for name, _ in SHAPES[cls].fields] if cls in SHAPES else ["name"]
+
+
+@pytest.mark.parametrize("node", ONE_OF_EACH + [x, c], ids=lambda node: type(node).__name__)
+def test_node_contract(node):
+    cls = type(node)
+    names = _field_names(cls)
+    values = [getattr(node, name) for name in names]
+    same = cls(*values)
+    assert same is not node and same == node and hash(same) == hash(node)
+    assert cls(**dict(zip(names, values))) == node
+    with pytest.raises(TypeError):
+        cls(*values, None)
+    if values:
+        with pytest.raises(TypeError):
+            cls(*values[:-1])
+    for name in names + ["other"]:
+        with pytest.raises(AttributeError):
+            setattr(node, name, None)
+        with pytest.raises(AttributeError):
+            delattr(node, name)
+    assert [getattr(node, name) for name in names] == values
+    # Var(x) prints its name bare: evaluate the repr with each name bound to itself
+    namespace = {k.__name__: k for k in [*SHAPES, Var, Const]}
+    namespace.update(x="x", y="y", z="z", c="c")
+    assert eval(repr(node), namespace) == node
+    for copied in (pickle.loads(pickle.dumps(node)), copy.copy(node), copy.deepcopy(node)):
+        assert type(copied) is cls and copied == node and hash(copied) == hash(node)
+        assert repr(copied) == repr(node)
+
+
+def test_classes_with_the_same_fields_never_compare_equal():
+    pairs = 0
+    for node in ONE_OF_EACH + [x, c]:
+        names = _field_names(type(node))
+        values = [getattr(node, name) for name in names]
+        for other in [*SHAPES, Var, Const]:
+            if other is not type(node) and _field_names(other) == names:
+                assert other(*values) != node and not other(*values) == node
+                pairs += 1
+    assert pairs >= 20  # And/SplitOr/BoolOr, the quantifiers, Inc/SeqEq/SeqNeq, ...
+    assert And(Top(), Bot()) != SplitOr(Top(), Bot()) and Top() != Bot() and x != Const("x")
+
+
+@pytest.mark.parametrize("build", [lambda: Dep((x,), ()), lambda: Inc((x,), ()),
+                                   lambda: SeqEq((x,), ()), lambda: SeqNeq((), (c,))],
+                         ids=["Dep", "Inc", "SeqEq", "SeqNeq"])
+def test_post_init_checks_raise_value_error(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_shape_of_binders_and_atoms():

@@ -1,10 +1,12 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from teamlogic.checks import default_model
-from teamlogic.formula import And, Eq, FOAtom, Inc, Var, free_vars
-from teamlogic.genatom import (AtomDefError, GeneralizedAtomDef, build_inc,
-                               build_pro, complement, duplicating_team,
+from teamlogic.formula import And, Dep, Eq, FOAtom, Inc, Ind, Var, free_vars
+from teamlogic.genatom import (AtomDefError, GeneralizedAtomDef, atom_def_of,
+                               build_inc, build_pro, complement, duplicating_team,
                                eval_direct, make_dep, make_fo, make_inc,
                                make_ind, parse_atom_def, print_atom_def,
                                register_builtin_atoms, sigma_pi_translate,
@@ -185,3 +187,36 @@ def test_atom_def_parse_errors():
         parse_atom_def("not a header\nphi: x = x")
     with pytest.raises(AtomDefError):
         parse_atom_def("genatom a pi n=1 k=[1] m=1\nbody: w$1$1$1 = w$1$1$1")
+
+
+_XYZ = (Var("x"), Var("y"), Var("z"))
+_ROWS = sorted(itertools.product(M.domain, repeat=3))
+
+
+@st.composite
+def _native_atom(draw):
+    """A dep, ind or inc atom over x, y and z, variables repeated freely,
+    whose generalized atom has at most 3 arguments (inc: 4).  The search
+    under the translated formula grows fast with the arity: an independence
+    atom of arity 4 takes about ten times as long per team as one of 3."""
+    def seq(lo, hi):
+        return st.lists(st.sampled_from(_XYZ), min_size=lo, max_size=hi).map(tuple)
+    kind = draw(st.sampled_from(["dep", "ind", "inc"]))
+    if kind == "dep":
+        return Dep(draw(seq(0, 1)), draw(seq(1, 1)))
+    if kind == "inc":
+        xs = draw(seq(1, 2))
+        return Inc(xs, draw(seq(len(xs), len(xs))))
+    xs = draw(seq(0, 3))
+    zs = draw(seq(0, 3 - len(xs)))
+    return Ind(xs, zs, draw(seq(0 if xs or zs else 1, 3 - len(xs) - len(zs))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_native_atom(), st.lists(st.sampled_from(_ROWS), max_size=4, unique=True))
+def test_native_atom_agrees_with_eval_direct_and_the_translation(native, rows):
+    X = Team(("x", "y", "z"), rows)
+    d, args = atom_def_of(native)
+    expected = eval_formula(M, X, native)
+    assert eval_direct(M, X, d, args) == expected
+    assert eval_formula(M, X, sigma_pi_translate(d, args)) == expected

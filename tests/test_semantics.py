@@ -256,7 +256,6 @@ def test_locality_precheck_skips_conjuncts_that_mention_x():
 
 
 def test_formula_hash_is_cached_and_structural():
-    import dataclasses
     import pickle
     from teamlogic.semantics import Evaluator
 
@@ -270,7 +269,7 @@ def test_formula_hash_is_cached_and_structural():
     X = Team(("x",), [("0",), ("1",)])
     assert ev.eval(X, a) and (a, X) in ev._memo and (b, X) in ev._memo
     assert hash(a) == h == hash(build())
-    assert [f.name for f in dataclasses.fields(a)] == ["v", "body"]
+    assert [name for name, _ in SHAPES[Exists].fields] == ["v", "body"]
     assert repr(Dep((x,), (y,))) == "Dep(determiners=(Var(x),), dependent=(Var(y),))"
     # a pickled node carries no hash: str hashes differ between interpreters
     c = pickle.loads(pickle.dumps(a))

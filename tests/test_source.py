@@ -1,6 +1,9 @@
 """Checks on the package source itself, with the standard library only."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "teamlogic"
@@ -27,3 +30,13 @@ def test_no_module_imports_a_name_it_does_not_use():
     found = {path.name: _unused_imports(ast.parse(path.read_text()))
              for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
     assert {name: unused for name, unused in found.items() if unused} == {}
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # node classes read their fields off their annotations; the import of
+    # every command pays for no dataclass machinery
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    code = "import sys, teamlogic.cli; print(sorted({'dataclasses'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
