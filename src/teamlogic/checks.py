@@ -10,9 +10,9 @@ fragment its law actually holds for.
 
 import random
 
-from .formula import (And, BoolOr, Dep, Eq, Exists, Exists1, FOAtom, Forall,
-                      Forall1, Inc, Ind, NegEq, NegFOAtom, SplitOr, Var, WNeg,
-                      fo_negate, fresh_var, sorted_free_vars)
+from .formula import (SHAPES, And, BoolOr, Dep, Eq, Exists, Exists1, FOAtom,
+                      Forall, Forall1, Inc, Ind, NegEq, NegFOAtom, SplitOr,
+                      Var, WNeg, fo_negate, fresh_var, sorted_free_vars)
 from .genatom import (build_inc, build_pro, complement, duplicating_team,
                       eval_direct, make_dep, make_inc, make_ind,
                       sigma_pi_translate, simulating_team)
@@ -64,19 +64,26 @@ def _leaf_fo(rng, vs):
     ])()
 
 
+def _grow(rng, vs, depth, leaf, p_leaf, connectives):
+    """A random formula: a leaf at depth 0 or with probability p_leaf, else
+    a connective drawn from the list (None draws a leaf), each binder a
+    variable of vs and each subformula grown one level shallower."""
+    if depth == 0 or rng.random() < p_leaf:
+        return leaf(rng, vs)
+    cls = connectives[rng.randrange(len(connectives))]
+    if cls is None:
+        return leaf(rng, vs)
+    # spelled out per arity: a loop over the fields makes every draw slower
+    below = (rng, vs, depth - 1, leaf, p_leaf, connectives)
+    if SHAPES[cls].binder is not None:
+        return cls(Var(rng.choice(vs)), _grow(*below))
+    if len(SHAPES[cls].fields) == 1:
+        return cls(_grow(*below))
+    return cls(_grow(*below), _grow(*below))
+
+
 def gen_fo(rng, vs=VARIABLES, depth=3):
-    if depth == 0 or rng.random() < 0.3:
-        return _leaf_fo(rng, vs)
-    kind = rng.randrange(5)
-    if kind == 0:
-        return And(gen_fo(rng, vs, depth - 1), gen_fo(rng, vs, depth - 1))
-    if kind == 1:
-        return SplitOr(gen_fo(rng, vs, depth - 1), gen_fo(rng, vs, depth - 1))
-    if kind == 2:
-        return Exists(Var(rng.choice(vs)), gen_fo(rng, vs, depth - 1))
-    if kind == 3:
-        return Forall(Var(rng.choice(vs)), gen_fo(rng, vs, depth - 1))
-    return _leaf_fo(rng, vs)
+    return _grow(rng, vs, depth, _leaf_fo, 0.3, (And, SplitOr, Exists, Forall, None))
 
 
 def _leaf_dep(rng, vs):
@@ -89,16 +96,7 @@ def _leaf_dep(rng, vs):
 def gen_downward(rng, vs=VARIABLES, depth=3):
     """Formulas from the downward-closed fragment (no inclusion or
     independence atoms, no Boolean disjunction)."""
-    if depth == 0 or rng.random() < 0.3:
-        return _leaf_dep(rng, vs)
-    kind = rng.randrange(4)
-    if kind == 0:
-        return And(gen_downward(rng, vs, depth - 1), gen_downward(rng, vs, depth - 1))
-    if kind == 1:
-        return SplitOr(gen_downward(rng, vs, depth - 1), gen_downward(rng, vs, depth - 1))
-    if kind == 2:
-        return Exists(Var(rng.choice(vs)), gen_downward(rng, vs, depth - 1))
-    return Forall(Var(rng.choice(vs)), gen_downward(rng, vs, depth - 1))
+    return _grow(rng, vs, depth, _leaf_dep, 0.3, (And, SplitOr, Exists, Forall))
 
 
 def _leaf_full(rng, vs):
@@ -115,25 +113,15 @@ def _leaf_full(rng, vs):
 
 
 def gen_full(rng, vs=VARIABLES, depth=3):
-    if depth == 0 or rng.random() < 0.3:
-        return _leaf_full(rng, vs)
-    kind = rng.randrange(8)
-    sub = lambda: gen_full(rng, vs, depth - 1)
-    if kind == 0:
-        return And(sub(), sub())
-    if kind == 1:
-        return SplitOr(sub(), sub())
-    if kind == 2:
-        return BoolOr(sub(), sub())
-    if kind == 3:
-        return Exists(Var(rng.choice(vs)), sub())
-    if kind == 4:
-        return Forall(Var(rng.choice(vs)), sub())
-    if kind == 5:
-        return Exists1(Var(rng.choice(vs)), sub())
-    if kind == 6:
-        return Forall1(Var(rng.choice(vs)), sub())
-    return WNeg(sub())
+    return _grow(rng, vs, depth, _leaf_full, 0.3,
+                 (And, SplitOr, BoolOr, Exists, Forall, Exists1, Forall1, WNeg))
+
+
+def gen_so_friendly(rng, vs=("x", "y"), depth=2):
+    """Random formulas kept small enough for brute-force second-order
+    checking: few free variables and at most modest relation arities."""
+    return _grow(rng, vs, depth, _leaf_full, 0.4,
+                 (And, SplitOr, Exists, Forall, Exists1, Forall1))
 
 
 def _random_team(rng, model, variables, max_rows=8):
@@ -322,26 +310,6 @@ def suite_atom_complement(seed=0, runs=30, model=None):
                 failures.append("%s on %r: wneg=%s complement=%s"
                                 % (d.name, X, lhs, rhs))
     return SuiteResult("atom-complement", total, failures)
-
-
-def gen_so_friendly(rng, vs=("x", "y"), depth=2):
-    """Random formulas kept small enough for brute-force second-order
-    checking: few free variables and at most modest relation arities."""
-    if depth == 0 or rng.random() < 0.4:
-        return _leaf_full(rng, vs)
-    kind = rng.randrange(6)
-    sub = lambda: gen_so_friendly(rng, vs, depth - 1)
-    if kind == 0:
-        return And(sub(), sub())
-    if kind == 1:
-        return SplitOr(sub(), sub())
-    if kind == 2:
-        return Exists(Var(rng.choice(vs)), sub())
-    if kind == 3:
-        return Forall(Var(rng.choice(vs)), sub())
-    if kind == 4:
-        return Exists1(Var(rng.choice(vs)), sub())
-    return Forall1(Var(rng.choice(vs)), sub())
 
 
 def suite_so_correspondence(seed=0, runs=40, model=None):

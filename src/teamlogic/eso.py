@@ -13,9 +13,10 @@ relation variable wherever the defining clause quantifies over a team.
 import itertools
 
 from .formula import (And, BoolOr, Eq, Exists, Exists1, FOAtom, Forall,
-                      Forall1, Gen, Implies, NegFOAtom, SplitOr, Var, WNeg,
-                      children, conj, exists_block, forall_block, fresh_var,
-                      is_first_order, rebuild, sorted_free_vars, terms)
+                      Forall1, Gen, Implies, Inc, Ind, NegFOAtom, SplitOr, Top,
+                      Var, WNeg, children, conj, exists_block, forall_block,
+                      fresh_var, is_first_order, rebuild, sorted_free_vars,
+                      terms)
 from .genatom import atom_def_of, eso_atom_matrix
 from .model import expand_with_relation
 from .team import rel as team_rel
@@ -68,6 +69,8 @@ def _tau(phi, fv, member, registry):
     if is_first_order(phi):
         us = [Var(v) for v in fv]
         return (), forall_block(us, Implies(member(us), phi))
+    if isinstance(phi, (Ind, Inc)) and not terms(phi):
+        return (), Top()  # without arguments the atom holds on every team
     pair = atom_def_of(phi)
     if isinstance(phi, Gen):
         if not registry or phi.atom_name not in registry:

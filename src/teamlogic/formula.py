@@ -17,8 +17,9 @@ relation or atom) is a label.  children, terms and rebuild read the table,
 and so do the traversals over it: free_vars, substitute, expand_sugar,
 is_first_order, subformulas and match.  A new node class needs nothing more
 here than its annotated fields (and, if it is first-order, its entry in
-_QUANTIFIER_FREE_FO or _FIRST_ORDER); the clauses that give it a meaning (the
-evaluator, the printer, fo_negate) are written out where they live.
+_QUANTIFIER_FREE_FO or _FIRST_ORDER and its dual in _FO_DUALS); the clauses
+that give it a meaning (the evaluator, the printer) are written out where
+they live.
 """
 
 from operator import attrgetter
@@ -507,35 +508,23 @@ class NotFirstOrderError(ValueError):
     pass
 
 
+# each first-order node class and the class of its negation (the table is
+# symmetric); fo_negate rebuilds a node as its dual over the same fields,
+# with the subformulas negated
+_FO_DUALS = {FOAtom: NegFOAtom, Eq: NegEq, Bot: Top, And: SplitOr,
+             Exists: Forall, SeqEq: SeqNeq}
+_FO_DUALS.update({dual: cls for cls, dual in _FO_DUALS.items()})
+
+
 def fo_negate(phi):
     """Syntactic NNF negation of a first-order formula."""
-    if isinstance(phi, FOAtom):
-        return NegFOAtom(phi.rel, phi.args)
-    if isinstance(phi, NegFOAtom):
-        return FOAtom(phi.rel, phi.args)
-    if isinstance(phi, Eq):
-        return NegEq(phi.lhs, phi.rhs)
-    if isinstance(phi, NegEq):
-        return Eq(phi.lhs, phi.rhs)
-    if isinstance(phi, Bot):
-        return Top()
-    if isinstance(phi, Top):
-        return Bot()
-    if isinstance(phi, And):
-        return SplitOr(fo_negate(phi.l), fo_negate(phi.r))
-    if isinstance(phi, SplitOr):
-        return And(fo_negate(phi.l), fo_negate(phi.r))
-    if isinstance(phi, Exists):
-        return Forall(phi.v, fo_negate(phi.body))
-    if isinstance(phi, Forall):
-        return Exists(phi.v, fo_negate(phi.body))
-    if isinstance(phi, SeqEq):
-        return SeqNeq(phi.xs, phi.ys)
-    if isinstance(phi, SeqNeq):
-        return SeqEq(phi.xs, phi.ys)
     if isinstance(phi, Implies):
         return And(expand_sugar(phi.ante), fo_negate(phi.cons))
-    raise NotFirstOrderError("cannot negate non-first-order formula: %r" % (phi,))
+    dual = _FO_DUALS.get(type(phi))
+    if dual is None:
+        raise NotFirstOrderError("cannot negate non-first-order formula: %r" % (phi,))
+    return dual(*[fo_negate(getattr(phi, name)) if kind == SUB else getattr(phi, name)
+                  for name, kind in SHAPES[type(phi)].fields])
 
 
 def expand_sugar(phi):

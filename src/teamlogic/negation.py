@@ -9,8 +9,8 @@ is_negatable_fragment recognizes that fragment syntactically; wneg carries
 out the synthesis.
 """
 
-from .formula import (And, BoolOr, Dep, Exists1, Forall1, Gen, Inc, Ind, Var,
-                      WNeg, children, exists_block, fo_negate, free_vars,
+from .formula import (And, Bot, BoolOr, Dep, Exists1, Forall1, Gen, Inc, Ind,
+                      Var, WNeg, children, exists_block, fo_negate, free_vars,
                       is_first_order, sorted_free_vars, substitute, terms)
 from .genatom import atom_def_of, complement, sigma_pi_translate
 
@@ -63,6 +63,10 @@ _DUALS = {And: BoolOr, BoolOr: And, Exists1: Forall1, Forall1: Exists1}
 def _wneg(phi, registry):
     if is_first_order(phi):
         return _wneg_fo(phi)
+    if isinstance(phi, (Ind, Inc)) and not terms(phi):
+        # without arguments the atom holds on every team, so its weak
+        # negation holds on the empty team only
+        return Bot()
     pair = ((registry[phi.atom_name], phi.args) if isinstance(phi, Gen)
             else atom_def_of(phi))
     if pair is not None:

@@ -1,36 +1,36 @@
 """The team-semantics evaluator (lax semantics) plus a Tarskian evaluator
 for first-order formulas on single assignments.
 
-Two evaluation modes exist.  The default mode is exact and uses six sound
-accelerations: Evaluator.eval resolves each formula, once per team
-variables, to a team test that runs a dep/ind/inc clause, a set comparison
-for P(xs) and !P(xs) over team variables (are the xs-projections of the
-rows a subset of P, or disjoint from it? either stops at the first failing
-row), or the row test of another first-order literal straight on the rows,
-without the memo or the empty-team shortcut (each holds on the empty team
-by itself); the independence clause fails as soon as the sum over its
-z-classes of |x-values| * |y-values| exceeds the number of rows, which a
-team satisfying it never reaches, since each class is then the product of
-its projections (Graedel & Vaananen, Studia Logica 2013); first-order
-subformulas are evaluated rowwise (justified by the flatness property, which
-the check suites verify independently), each by a row test built once per
-formula and team variables, which decides a literal over variables by
-column lookups alone (P(y) on X: is the y-projection of every row in P?)
-and anything else by the Tarskian evaluator; the empty team satisfies every
-formula without running a clause;
-existential blocks over conjunctions of first-order / inclusion /
-unconditional-independence / constancy conjuncts are solved by a dedicated
-branch-and-delete search whose witnesses are always re-verified literally;
-and E x (c1 /\\ ... /\\ cn) first checks on X itself every conjunct ci that
-does not mention x, and is false if one fails (justified by locality: ci
-sees X[F/x] exactly as it sees X; the locality suite checks this property
-independently, on the literal evaluator).
-The literal mode (literal=True) implements the defining clauses directly
-(Tarskian evaluation of each assignment for first-order literals, cover
-enumeration for split disjunction, per-row supplement-function search for
-the existential quantifier, every clause on the empty team too) and is what
-the clause-conformance property suites run against; it is the oracle of the
-row tests.
+Every evaluation path is an entry of one of two tables keyed by type(phi),
+each entry a plain function clause(evaluator, X, phi).  _DEFINING holds the
+defining clauses: Tarskian evaluation of each assignment for first-order
+literals, cover enumeration for split disjunction, per-row supplement-
+function search for the existential quantifier, and every clause run on the
+empty team too.  It is the whole literal mode (literal=True), which the
+clause-conformance property suites run against, and the oracle of the
+default mode.  _FAST, the default mode's table, overrides two entries, each
+falling back to its defining clause: a split disjunction with a first-order
+side gives that side every row satisfying it and splits only those
+(flatness); E x (c1 /\\ ... /\\ cn) is false if a conjunct ci without x fails
+on X itself (locality: ci sees X[F/x] exactly as X; the locality suite
+checks this on the literal evaluator), and an existential block over
+first-order / inclusion / unconditional-independence / constancy conjuncts
+goes to a branch-and-delete search whose witnesses are always re-verified.
+
+In front of its table the default mode has three more exact shortcuts.
+Evaluator.eval resolves each formula, once per team variables, to a team
+test that runs a dep/ind/inc clause, a set comparison for P(xs) and !P(xs)
+over team variables (are the xs-projections of the rows a subset of P, or
+disjoint from it?), or another first-order literal's row test on every row,
+without the memo or the empty-team shortcut (each holds on the empty team by
+itself).  The independence clause fails once the sum over its z-classes of
+|x-values| * |y-values| exceeds the number of rows, which a team satisfying
+it never reaches, as each class is then the product of its projections
+(Graedel & Vaananen, Studia Logica 2013).  The empty team satisfies every
+formula without running a clause.  First-order subformulas are evaluated
+rowwise (flatness, which the check suites verify independently), each by a
+row test built once per formula and team variables: column lookups for a
+literal over variables, the Tarskian evaluator for anything else.
 """
 
 import itertools
@@ -40,7 +40,7 @@ from .formula import (And, Bot, BoolOr, Const, Dep, Eq, Exists, Exists1,
                       FOAtom, Forall, Forall1, Implies, Inc, Ind, NegEq,
                       NegFOAtom, SeqEq, SeqNeq, SplitOr, Top, Var, WNeg, Gen,
                       free_vars, is_first_order)
-from .team import Team
+from .team import Team, duplicate, set_var
 
 
 class EvalError(ValueError):
@@ -134,6 +134,7 @@ class Evaluator:
         self.registry = registry or {}
         self.budget = budget or EvalBudget()
         self.literal = literal
+        self._clauses = _DEFINING if literal else _FAST
         self._memo = {}
         self._tests = {}  # (phi, team variables) -> see _team_test
         self._prepared = {}  # (phi, team variables) -> see _prepare
@@ -154,26 +155,32 @@ class Evaluator:
         over team variables compares the set P with the rows' projections,
         and another first-order literal runs its row test on every row
         (flatness); each holds on the empty team by itself, so none needs
-        the memo or the empty-team shortcut.  Anything else gets None and goes through _eval, which
-        decides compound first-order formulas rowwise too (asking
-        is_first_order here would walk every such formula twice, and
-        eval_formula builds a new evaluator for each call).  A test that
-        called self._eval would hold the evaluator in a reference cycle and
-        keep its memo alive until the cycle collector runs."""
+        the memo or the empty-team shortcut.  Anything else gets None and
+        goes through _eval, which decides compound first-order formulas
+        rowwise too (asking is_first_order here would walk every such
+        formula twice, and eval_formula builds a new evaluator for each
+        call).  A test that called self._eval would hold the evaluator in a
+        reference cycle and keep its memo alive until the cycle collector
+        runs."""
         missing = {v.name for v in free_vars(phi)}.difference(X.vars)
         if missing:
             raise EvalError("free variables %s not in team domain" % sorted(missing))
-        if not self.literal:
-            clause = _ATOM_CLAUSES.get(type(phi))
-            if clause is not None:
-                keys = self._prepare(phi, X)
-                return lambda Y: clause(Y, keys)
-            if type(phi) in _LITERALS:
-                test = _relation_test(self.model, phi, X)
-                if test is not None:
-                    return test
-                row_test = self._prepare(phi, X)
-                return lambda Y: all(map(row_test, Y.rows))
+        if self.literal:
+            return None
+        clause = _ATOM_CLAUSES.get(type(phi))
+        if clause is not None:
+            keys = self._prepare(phi, X)
+            return lambda Y: clause(Y, keys)
+        if type(phi) in _LITERALS:
+            relation = _relation_literal(self.model, phi, X)
+            if relation is not None:
+                # a set comparison that stops at the first failing row
+                get, holds = relation
+                if type(phi) is FOAtom:
+                    return lambda Y: holds.issuperset(map(get, Y.rows))
+                return lambda Y: holds.isdisjoint(map(get, Y.rows))
+            row_test = self._prepare(phi, X)
+            return lambda Y: all(map(row_test, Y.rows))
         return None
 
     # -- dispatch -------------------------------------------------------------
@@ -191,39 +198,8 @@ class Evaluator:
 
     def _eval_uncached(self, X, phi):
         if not self.literal and is_first_order(phi):
-            return all(map(self._prepare(phi, X), X.rows))
-        if isinstance(phi, (FOAtom, NegFOAtom, Eq, NegEq, SeqEq, SeqNeq, Implies, Top)):
-            return all(eval_single(self.model, s, phi) for s in X.assignments())
-        if isinstance(phi, Bot):
-            return X.is_empty()
-        clause = _ATOM_CLAUSES.get(type(phi))
-        if clause is not None:
-            return clause(X, self._prepare(phi, X))
-        if isinstance(phi, Gen):
-            from .genatom import eval_direct
-            if phi.atom_name not in self.registry:
-                raise EvalError("unregistered atom %s" % phi.atom_name)
-            return eval_direct(self.model, X, self.registry[phi.atom_name], phi.args)
-        if isinstance(phi, And):
-            return self._eval(X, phi.l) and self._eval(X, phi.r)
-        if isinstance(phi, BoolOr):
-            return self._eval(X, phi.l) or self._eval(X, phi.r)
-        if isinstance(phi, SplitOr):
-            return self._eval_split(X, phi)
-        if isinstance(phi, Exists):
-            return self._eval_exists(X, phi)
-        if isinstance(phi, Forall):
-            from .team import duplicate
-            return self._eval(duplicate(X, self.model, phi.v.name), phi.body)
-        if isinstance(phi, Exists1):
-            return any(self._eval(_assign_const(X, phi.v.name, a), phi.body)
-                       for a in self.model.domain)
-        if isinstance(phi, Forall1):
-            return all(self._eval(_assign_const(X, phi.v.name, a), phi.body)
-                       for a in self.model.domain)
-        if isinstance(phi, WNeg):
-            return X.is_empty() or not self._eval(X, phi.body)
-        raise EvalError("cannot evaluate %r" % (phi,))
+            return all(map(self._prepare(phi, X), X.rows))  # flatness
+        return self._clauses[type(phi)](self, X, phi)
 
     def _prepare(self, phi, X):
         """What evaluating phi on X needs that does not depend on its rows,
@@ -239,22 +215,28 @@ class Evaluator:
     # -- split disjunction ----------------------------------------------------
 
     def _eval_split(self, X, phi):
+        """A first-order side holds on exactly the subteams of the rows that
+        satisfy it (flatness), so give it all of those and try the other
+        side on the rest plus each subset of them."""
+        for fo_side, other in ((phi.l, phi.r), (phi.r, phi.l)):
+            if is_first_order(fo_side):
+                test = self._prepare(fo_side, X)
+                passing, forced = [], []
+                for r in sorted(X.rows):
+                    (passing if test(r) else forced).append(r)
+                if len(passing) > self.budget.max_split_rows:
+                    break  # the defining clause refuses it by its budget
+                for k in range(len(passing) + 1):
+                    for extra in itertools.combinations(passing, k):
+                        if self._eval(Team(X.vars, forced + list(extra)), other):
+                            return True
+                return False
+        return self._split_covers(X, phi)
+
+    def _split_covers(self, X, phi):
+        """Defining clause: some cover of X by two subteams, one per side."""
         rows = sorted(X.rows)
         n = len(rows)
-        if not self.literal:
-            for fo_side, other in ((phi.l, phi.r), (phi.r, phi.l)):
-                if is_first_order(fo_side):
-                    test = self._prepare(fo_side, X)
-                    passing, forced = [], []
-                    for r in rows:
-                        (passing if test(r) else forced).append(r)
-                    if len(passing) > self.budget.max_split_rows:
-                        break  # fall through to the generic search budget check
-                    for k in range(len(passing) + 1):
-                        for extra in itertools.combinations(passing, k):
-                            if self._eval(Team(X.vars, forced + list(extra)), other):
-                                return True
-                    return False
         if n > self.budget.max_split_rows:
             raise BudgetExceeded(
                 "split disjunction over %d rows exceeds the budget of %d"
@@ -269,21 +251,20 @@ class Evaluator:
     # -- existential quantifier ----------------------------------------------
 
     def _eval_exists(self, X, phi):
-        if not self.literal:
-            # locality: a conjunct without x sees X[F/x] exactly as it sees X
-            for c in _flatten_and(phi.body):
-                if phi.v not in free_vars(c) and not self._eval(X, c):
-                    return False
-            block = _collect_block(phi, set(X.vars))
-            if block is not None:
-                bound, conjuncts = block
-                res = self._solve_block(X, bound, conjuncts)
-                if res is not None:
-                    return res
+        # locality: a conjunct without x sees X[F/x] exactly as it sees X
+        for c in _flatten_and(phi.body):
+            if phi.v not in free_vars(c) and not self._eval(X, c):
+                return False
+        block = _collect_block(phi, set(X.vars))
+        if block is not None:
+            bound, conjuncts = block
+            res = self._solve_block(X, bound, conjuncts)
+            if res is not None:
+                return res
         return self._eval_exists_fallback(X, phi)
 
     def _eval_exists_fallback(self, X, phi):
-        """Literal clause: per-row choice of a nonempty value set."""
+        """Defining clause: per-row choice of a nonempty value set."""
         rows = sorted(X.rows)
         choices = _nonempty_subsets(self.model.domain)
         total = len(choices) ** len(rows)
@@ -292,15 +273,8 @@ class Evaluator:
                 "existential search space %d exceeds the budget of %d"
                 % (total, self.budget.max_fallback_combos))
         x = phi.v.name
-        overwrite = x in X.vars
-        col = X.column(x) if overwrite else None
-        new_vars = X.vars if overwrite else X.vars + (x,)
         for combo in itertools.product(choices, repeat=len(rows)):
-            out = []
-            for r, vals in zip(rows, combo):
-                for a in vals:
-                    out.append(r[:col] + (a,) + r[col + 1:] if overwrite else r + (a,))
-            if self._eval(Team(new_vars, out), phi.body):
+            if self._eval(set_var(X, x, zip(rows, combo)), phi.body):
                 return True
         return False
 
@@ -326,12 +300,9 @@ class Evaluator:
                 return None
 
         model = self.model
-        overwrite = [v for v in bound if v in X.vars]
-        ext = [v for v in bound if v not in X.vars]
-        y_vars = X.vars + tuple(ext)
+        y_vars = X.vars + tuple(v for v in bound if v not in X.vars)
         col = {v: i for i, v in enumerate(y_vars)}
-        base_cols = [i for i, v in enumerate(y_vars)
-                     if v in X.vars and v not in overwrite]
+        base_cols = [i for i, v in enumerate(X.vars) if v not in bound]
 
         base_rows = sorted(X.rows)
         n_cand = len(base_rows) * len(model.domain) ** len(bound)
@@ -340,28 +311,20 @@ class Evaluator:
                 "%d candidate rows exceed the budget of %d"
                 % (n_cand, self.budget.max_supplement_rows))
 
-        ow_cols = [X.column(v) for v in overwrite]
-
-        def build(base, vals):
-            row = list(base) + [None] * len(ext)
-            for v, a in zip(bound, vals):
-                if v in X.vars:
-                    row[X.column(v)] = a
-                else:
-                    row[col[v]] = a
-            return tuple(row)
-
+        padding = [None] * (len(y_vars) - len(X.vars))
         candidates = []
         for base in base_rows:
-            basekey = tuple(base[i] for i in range(len(X.vars)) if i not in ow_cols)
+            basekey = tuple(base[i] for i in base_cols)
             for vals in itertools.product(model.domain, repeat=len(bound)):
-                row = build(base, vals)
+                row = list(base) + padding
+                for v, a in zip(bound, vals):
+                    row[col[v]] = a
+                row = tuple(row)
                 s = dict(zip(y_vars, row))
                 if all(eval_single(model, s, f) for f in fo):
                     candidates.append((basekey, row))
 
-        needed = {tuple(base[i] for i in range(len(X.vars)) if i not in ow_cols)
-                  for base in base_rows}
+        needed = {tuple(base[i] for i in base_cols) for base in base_rows}
 
         inc_idx = [([col[v.name] for v in c.xs], [col[v.name] for v in c.ys]) for c in incs]
         ind_idx = [([col[v.name] for v in c.xs], [col[v.name] for v in c.ys]) for c in inds]
@@ -492,6 +455,50 @@ _ATOM_CLAUSES = {Dep: _dep_holds, Ind: _ind_holds, Inc: _inc_holds}
 _LITERALS = frozenset((FOAtom, NegFOAtom, Eq, NegEq))
 
 
+# -- the clause tables ----------------------------------------------------------
+
+
+def _tarskian(ev, X, phi):
+    return all(eval_single(ev.model, s, phi) for s in X.assignments())
+
+
+def _atom(ev, X, phi):
+    return _ATOM_CLAUSES[type(phi)](X, ev._prepare(phi, X))
+
+
+def _generalized(ev, X, phi):
+    from .genatom import eval_direct
+    if phi.atom_name not in ev.registry:
+        raise EvalError("unregistered atom %s" % phi.atom_name)
+    return eval_direct(ev.model, X, ev.registry[phi.atom_name], phi.args)
+
+
+def _at_each_value(ev, X, phi):
+    """The teams X[a/x], x set to one value a on every row, for each a."""
+    x = phi.v.name
+    return (set_var(X, x, zip(X.rows, itertools.repeat((a,)))) for a in ev.model.domain)
+
+
+# The clause of each node class, clause(evaluator, X, phi).  The entries are
+# plain functions, not bound methods, so an evaluator holds no reference to
+# itself and is freed with its memo as soon as it is dropped.
+_DEFINING = {
+    **dict.fromkeys((FOAtom, NegFOAtom, Eq, NegEq, SeqEq, SeqNeq, Implies, Top), _tarskian),
+    Bot: lambda ev, X, phi: X.is_empty(),
+    **dict.fromkeys((Dep, Ind, Inc), _atom),
+    Gen: _generalized,
+    And: lambda ev, X, phi: ev._eval(X, phi.l) and ev._eval(X, phi.r),
+    BoolOr: lambda ev, X, phi: ev._eval(X, phi.l) or ev._eval(X, phi.r),
+    SplitOr: Evaluator._split_covers,
+    Exists: Evaluator._eval_exists_fallback,
+    Forall: lambda ev, X, phi: ev._eval(duplicate(X, ev.model, phi.v.name), phi.body),
+    Exists1: lambda ev, X, phi: any(ev._eval(Y, phi.body) for Y in _at_each_value(ev, X, phi)),
+    Forall1: lambda ev, X, phi: all(ev._eval(Y, phi.body) for Y in _at_each_value(ev, X, phi)),
+    WNeg: lambda ev, X, phi: X.is_empty() or not ev._eval(X, phi.body),
+}
+_FAST = {**_DEFINING, SplitOr: Evaluator._eval_split, Exists: Evaluator._eval_exists}
+
+
 def _collect_block(phi, team_vars):
     """Gather E x1 ... E xn (conjunction), hoisting nested fresh existentials
     out of conjuncts.  Returns (bound variable names, conjunct list) or None
@@ -537,14 +544,9 @@ def _prepare_uncached(model, phi, X):
                 _key(X, (*phi.zs, *phi.xs, *phi.ys)))
     if isinstance(phi, Inc):
         return _key(X, phi.xs), _key(X, phi.ys)
-    if isinstance(phi, (FOAtom, NegFOAtom)) and _team_vars_only(X, phi.args):
-        holds = model.rel(phi.rel)
-        if len(phi.args) == 1:
-            i = X.column(phi.args[0].name)
-            if isinstance(phi, FOAtom):
-                return lambda r: (r[i],) in holds
-            return lambda r: (r[i],) not in holds
-        get = _key(X, phi.args)
+    relation = _relation_literal(model, phi, X)
+    if relation is not None:
+        get, holds = relation
         if isinstance(phi, FOAtom):
             return lambda r: get(r) in holds
         return lambda r: get(r) not in holds
@@ -557,19 +559,16 @@ def _prepare_uncached(model, phi, X):
     return lambda r: eval_single(model, dict(zip(vs, r)), phi)
 
 
-def _relation_test(model, phi, X):
-    """For P(xs) or !P(xs) over team variables, the team test that the
-    xs-projection of every row is in P, or of none: a set comparison that
-    stops at the first failing row.  None for any other literal."""
+def _relation_literal(model, phi, X):
+    """For P(xs) or !P(xs) over team variables, the pair (projection,
+    relation set): a row satisfies P(xs) iff its xs-projection is in the
+    set.  None for any other formula."""
     if type(phi) not in (FOAtom, NegFOAtom) or not _team_vars_only(X, phi.args):
         return None
     holds = model.rel(phi.rel)
     if len(phi.args) == 1:
         holds = {t[0] for t in holds if len(t) == 1}  # _key yields bare values
-    get = _key(X, phi.args)
-    if isinstance(phi, FOAtom):
-        return lambda Y: holds.issuperset(map(get, Y.rows))
-    return lambda Y: holds.isdisjoint(map(get, Y.rows))
+    return _key(X, phi.args), holds
 
 
 def _team_vars_only(X, terms):
@@ -590,13 +589,6 @@ def _flatten_and(phi):
     if isinstance(phi, And):
         return _flatten_and(phi.l) + _flatten_and(phi.r)
     return [phi]
-
-
-def _assign_const(X, x, a):
-    if x in X.vars:
-        i = X.column(x)
-        return Team(X.vars, [r[:i] + (a,) + r[i + 1:] for r in X.rows])
-    return Team(X.vars + (x,), [r + (a,) for r in X.rows])
 
 
 def eval_formula(model, X, phi, registry=None, budget=None, literal=False):

@@ -61,14 +61,19 @@ class Team:
             yield dict(zip(self.vars, r))
 
 
-def duplicate(X, model, x):
-    """X(M/x): every row extended (or overwritten) with every domain value."""
+def set_var(X, x, choices):
+    """X[F/x] for F given as (row, values) pairs: for each pair and each of
+    its values a, the row with x set to a (overwritten where x is a variable
+    of X, appended otherwise)."""
     if x in X.vars:
         i = X.column(x)
-        rows = [r[:i] + (a,) + r[i + 1:] for r in X.rows for a in model.domain]
-        return Team(X.vars, rows)
-    rows = [r + (a,) for r in X.rows for a in model.domain]
-    return Team(X.vars + (x,), rows)
+        return Team(X.vars, [r[:i] + (a,) + r[i + 1:] for r, values in choices for a in values])
+    return Team(X.vars + (x,), [r + (a,) for r, values in choices for a in values])
+
+
+def duplicate(X, model, x):
+    """X(M/x): every row extended (or overwritten) with every domain value."""
+    return set_var(X, x, zip(X.rows, itertools.repeat(model.domain)))
 
 
 def supplement(X, F, x):
@@ -78,12 +83,7 @@ def supplement(X, F, x):
             raise TeamError("supplement function undefined on a row")
         if not F[r]:
             raise TeamError("supplement function has an empty value set")
-    if x in X.vars:
-        i = X.column(x)
-        rows = [r[:i] + (a,) + r[i + 1:] for r in X.rows for a in F[r]]
-        return Team(X.vars, rows)
-    rows = [r + (a,) for r in X.rows for a in F[r]]
-    return Team(X.vars + (x,), rows)
+    return set_var(X, x, ((r, F[r]) for r in X.rows))
 
 
 def rel(X, variables):

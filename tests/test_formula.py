@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from teamlogic.checks import gen_full
-from teamlogic.formula import (SHAPES, And, Bot, BoolOr, Const, Dep, Eq,
-                               Exists, Exists1, FOAtom, Forall, Forall1,
-                               Formula, Gen, Implies, Inc, Ind, NegEq,
-                               NegFOAtom, SeqEq, SeqNeq, SplitOr,
-                               SubstitutionError, Top, Var, WNeg, alpha_equal,
+from teamlogic.formula import (_FIRST_ORDER, SHAPES, And, Bot, BoolOr, Const,
+                               Dep, Eq, Exists, Exists1, FOAtom, Forall,
+                               Forall1, Formula, Gen, Implies, Inc, Ind,
+                               NegEq, NegFOAtom, NotFirstOrderError, SeqEq,
+                               SeqNeq, SplitOr, SubstitutionError, Top, Var,
+                               WNeg, alpha_equal,
                                children, expand_sugar, fo_negate, free_vars,
                                fresh_var, is_first_order,
                                is_quantifier_free_fo, rebuild,
@@ -145,6 +146,19 @@ def test_every_node_class_has_a_shape():
 @pytest.mark.parametrize("phi", ONE_OF_EACH, ids=lambda phi: type(phi).__name__)
 def test_rebuild_from_children_and_terms_is_the_identity(phi):
     assert rebuild(phi, children(phi), terms(phi)) == phi
+
+
+@pytest.mark.parametrize("phi", ONE_OF_EACH, ids=lambda phi: type(phi).__name__)
+def test_fo_negate_is_an_involution_on_the_first_order_classes(phi):
+    if type(phi) is Implies:
+        # sugar: its negation is written in the core connectives
+        assert fo_negate(phi) == And(phi.ante, fo_negate(phi.cons))
+    elif type(phi) in _FIRST_ORDER:
+        assert type(fo_negate(phi)) is not type(phi)
+        assert fo_negate(fo_negate(phi)) == phi
+    else:
+        with pytest.raises(NotFirstOrderError, match="cannot negate non-first-order"):
+            fo_negate(phi)
 
 
 def _field_names(cls):

@@ -63,6 +63,23 @@ def test_wneg_of_atoms():
     _agrees_with_semantic_negation(Ind((x,), (), (y,)), ("x", "y"))
 
 
+@pytest.mark.parametrize("atom", [Ind((), (), ()), Inc((), ())], ids=repr)
+def test_argument_free_atoms_are_negated_and_translated(atom):
+    # both hold on every team, so the weak negation holds on the empty team
+    # only; the parser never builds them
+    from teamlogic.eso import check_correspondence
+    from teamlogic.parser import ParseError, parse_formula
+    psi = wneg(atom)
+    for X in all_teams(M, ("x",)):
+        assert eval_formula(M, X, psi) == X.is_empty()
+        assert eval_formula(M, X, WNeg(atom), literal=True) == X.is_empty()
+        assert check_correspondence(M, X, atom)
+        assert check_correspondence(M, X, psi)
+    for text in ("ind( ; ; )", "inc( ; )"):
+        with pytest.raises(ParseError):
+            parse_formula(text)
+
+
 def test_wneg_of_connectives_and_single_value_quantifiers():
     _agrees_with_semantic_negation(And(FOAtom("P", (x,)), Dep((x,), (y,))), ("x", "y"))
     _agrees_with_semantic_negation(BoolOr(Eq(x, y), Inc((x,), (y,))), ("x", "y"))

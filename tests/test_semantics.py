@@ -188,6 +188,20 @@ def test_eval_single_decides_exactly_the_first_order_classes(cls):
             eval_single(model, s, phi)
 
 
+@pytest.mark.parametrize("cls", sorted(SHAPES, key=lambda cls: cls.__name__),
+                         ids=lambda cls: cls.__name__)
+def test_every_node_class_has_a_clause_in_both_modes(cls):
+    from test_formula import ONE_OF_EACH
+    from teamlogic.genatom import register_builtin_atoms
+    phi = {type(f): f for f in ONE_OF_EACH}[cls]
+    model = Model(("0", "1"), {"P": [("1", "1")], "Q": [()]}, {"c": "1"})
+    X = Team(("x", "y", "z"), [("0", "1", "1"), ("1", "1", "0")])
+    verdicts = [eval_formula(model, X, phi, register_builtin_atoms(), literal=literal)
+                for literal in (False, True)]
+    assert [type(v) for v in verdicts] == [bool, bool]
+    assert verdicts[0] == verdicts[1]
+
+
 def test_budget_refuses_rather_than_approximates():
     X = Team(("x",), [("0",), ("1",)])
     tight = EvalBudget(max_split_rows=1, max_supplement_rows=400000,

@@ -32,6 +32,43 @@ def test_no_module_imports_a_name_it_does_not_use():
     assert {name: unused for name, unused in found.items() if unused} == {}
 
 
+def _private_definitions(tree):
+    """The module-level private functions, classes and assignments."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                names.update(t.id for t in ast.walk(target) if isinstance(t, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def _dead_private_names(trees):
+    """(module, name) for each private definition that no module reads."""
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted((module, name) for module, tree in trees.items()
+                  for name in _private_definitions(tree) - read)
+
+
+def test_dead_private_names_are_detected():
+    trees = {"a": ast.parse("_kept = 1\n_dead, _x = 2, 3\n\ndef _f():\n    return _x\n\n"
+                            "class _C:\n    pass\n\ndef __getattr__(name):\n    pass\n"),
+             "b": ast.parse("import a\n\nprint(a._kept)\n")}
+    assert _dead_private_names(trees) == [("a", "_C"), ("a", "_dead"), ("a", "_f")]
+
+
+def test_every_private_name_is_read():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert _dead_private_names(trees) == []
+
+
 def test_importing_the_cli_loads_no_dataclasses():
     # node classes read their fields off their annotations; the import of
     # every command pays for no dataclass machinery
