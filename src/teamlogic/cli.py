@@ -101,24 +101,19 @@ def cmd_negate(args):
         neg = wneg(phi, register_builtin_atoms())
     except NotNegatableError as e:
         raise CliError(str(e))
-    _emit(args.machine, print_formula(neg), [("negation", print_formula(neg))])
+    text = print_formula(neg)
+    _emit(args.machine, text, [("negation", text)])
     return 0
 
 
 def cmd_translate(args):
     phi = parse_formula(args.formula, expand=False)
-    records = []
-    lines = []
-    psi = tau(phi, registry=register_builtin_atoms())
-    lines.append(print_eso(psi))
-    records.append(("second_order", print_eso(psi)))
+    records = [("second_order", print_eso(tau(phi, registry=register_builtin_atoms())))]
     pair = atom_def_of(phi)
     if pair is not None:
         d, xs = pair
-        defined = sigma_pi_translate(d, xs)
-        lines.append(print_formula(defined))
-        records.append(("in_language", print_formula(defined)))
-    _emit(args.machine, "\n".join(lines), records)
+        records.append(("in_language", print_formula(sigma_pi_translate(d, xs))))
+    _emit(args.machine, "\n".join(text for _, text in records), records)
     return 0
 
 

@@ -20,6 +20,14 @@ fo_negate.  "=(x,y,z)" without a ";" reads all-but-last-determine-last.
 Identifiers listed in `constants` parse as constants, everything else as a
 variable.  Variables containing "$" are reserved for generated formulas and
 rejected unless allow_reserved is set.
+
+The text is split by one `findall` into token strings.  A token that is not
+an operator is an identifier; only the distinct ones are checked for a bad
+character, once per parse.  The three left-associative connectives are one
+precedence-climbing loop over _BINARY (Pratt, POPL 1973).  Token positions
+are found again by a second scan only when a ParseError needs its span.  The
+parser notes whether it built Implies, SeqEq or SeqNeq; if it did not,
+expand_sugar has nothing to rewrite and is not run.
 """
 
 import re
@@ -46,64 +54,59 @@ class ParseError(ValueError):
         self.span = span
 
 
-_IDENT = r"[A-Za-z_][A-Za-z0-9_$]*"
-_IDENT_RE = re.compile(_IDENT)
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
 # One scan: an operator, an identifier, or any other non-space character,
 # which is an error.
-_TOKEN_RE = re.compile(r"(->|!=|\|\||/\\|\\/|[().,;=!])|(%s)|(\S)" % _IDENT)
+_TOKEN_RE = re.compile(r"->|!=|\|\||/\\|\\/|[().,;=!]|%s|\S" % _IDENT_RE.pattern)
+_OPERATORS = frozenset(["->", "!=", "||", "/\\", "\\/", "(", ")", ".", ",", ";",
+                        "=", "!"])
 
 KEYWORDS = {"E", "A", "E1", "A1", "wneg", "bot", "top", "inc", "ind"}
+# everything a term cannot be; None ends the token list
+_NOT_TERMS = _OPERATORS | KEYWORDS | {None}
+# binding strength and node class of each left-associative connective
+_BINARY = {"||": (0, BoolOr), "\\/": (1, SplitOr), "/\\": (2, And)}
+_QUANTIFIERS = {"E": Exists, "A": Forall, "E1": Exists1, "A1": Forall1}
 
 
 def _tokenize(text):
-    """(text, start, end) per token, then (None, n, n) at the end."""
-    toks = []
-    for m in _TOKEN_RE.finditer(text):
-        if m.lastindex == 3:
-            raise ParseError("unexpected character %r" % m.group(),
-                             SourceSpan(m.start(), m.end()))
-        toks.append((m.group(), m.start(), m.end()))
-    toks.append((None, len(text), len(text)))
+    """The token strings of text, then None."""
+    toks = _TOKEN_RE.findall(text)
+    bad = {t for t in set(toks) - _OPERATORS if not _IDENT_RE.fullmatch(t)}
+    if bad:
+        m = next(m for m in _TOKEN_RE.finditer(text) if m.group() in bad)
+        raise ParseError("unexpected character %r" % m.group(),
+                         SourceSpan(m.start(), m.end()))
+    toks.append(None)
     return toks
 
 
 class _Parser:
     def __init__(self, text, constants, atoms, allow_reserved):
+        self.text = text
         self.toks = _tokenize(text)
         self.i = 0
         self.constants = set(constants)
         self.atoms = atoms or {}
         self.allow_reserved = allow_reserved
-
-    def peek(self):
-        return self.toks[self.i][0]
-
-    def span(self, i=None):
-        """The source span of token i, by default the current one."""
-        _, start, end = self.toks[self.i if i is None else i]
-        return SourceSpan(start, end)
-
-    def next(self):
-        t = self.toks[self.i][0]
-        self.i += 1
-        return t
+        self.sugar = False  # built an Implies, SeqEq or SeqNeq
 
     def expect(self, tok):
-        if self.peek() != tok:
-            self.fail("expected %r, got %r" % (tok, self.peek()))
+        if self.toks[self.i] != tok:
+            self.fail("expected %r, got %r" % (tok, self.toks[self.i]))
         self.i += 1
 
     def fail(self, msg, i=None):
-        raise ParseError(msg, self.span(i))
+        """Raise at token i, by default the current one."""
+        spans = [m.span() for m in _TOKEN_RE.finditer(self.text)]
+        spans.append((len(self.text), len(self.text)))
+        raise ParseError(msg, SourceSpan(*spans[self.i if i is None else i]))
 
     # -- terms ---------------------------------------------------------------
 
-    def is_ident(self, t):
-        return t is not None and _IDENT_RE.fullmatch(t) is not None
-
     def term(self):
-        t = self.peek()
-        if not self.is_ident(t) or t in KEYWORDS:
+        t = self.toks[self.i]
+        if t in _NOT_TERMS:
             self.fail("expected a term, got %r" % t)
         if "$" in t and not self.allow_reserved:
             self.fail("variable %r uses the reserved '$' prefix" % t)
@@ -121,70 +124,58 @@ class _Parser:
     def varlist(self):
         """Comma-separated (possibly empty) list of variables."""
         out = []
-        while self.is_ident(self.peek()) and self.peek() not in KEYWORDS:
+        while self.toks[self.i] not in _NOT_TERMS:
             out.append(self.variable())
-            if self.peek() == ",":
-                self.next()
-            else:
+            if self.toks[self.i] != ",":
                 break
+            self.i += 1
         return tuple(out)
 
     def termlist(self):
         out = [self.term()]
-        while self.peek() == ",":
-            self.next()
+        while self.toks[self.i] == ",":
+            self.i += 1
             out.append(self.term())
         return tuple(out)
 
     # -- formulas ------------------------------------------------------------
 
     def formula(self):
-        lhs = self.bor()
-        if self.peek() == "->":
-            at = self.i
-            self.next()
-            rhs = self.formula()
-            if not is_first_order(lhs):
-                self.fail("implication antecedent must be first-order", at)
-            return Implies(lhs, rhs)
-        return lhs
+        lhs = self.binary(0)
+        if self.toks[self.i] != "->":
+            return lhs
+        at = self.i
+        self.i += 1
+        rhs = self.formula()
+        if not is_first_order(lhs):
+            self.fail("implication antecedent must be first-order", at)
+        self.sugar = True
+        return Implies(lhs, rhs)
 
-    def bor(self):
-        out = self.orr()
-        while self.peek() == "||":
-            self.next()
-            out = BoolOr(out, self.orr())
-        return out
-
-    def orr(self):
-        out = self.andd()
-        while self.peek() == "\\/":
-            self.next()
-            out = SplitOr(out, self.andd())
-        return out
-
-    def andd(self):
+    def binary(self, floor):
+        """A chain of prefixed formulas joined by connectives of _BINARY that
+        bind at least as tightly as floor, grouped to the left."""
         out = self.pre()
-        while self.peek() == "/\\":
-            self.next()
-            out = And(out, self.pre())
-        return out
+        while True:
+            op = _BINARY.get(self.toks[self.i])
+            if op is None or op[0] < floor:
+                return out
+            self.i += 1
+            out = op[1](out, self.binary(op[0] + 1))
 
     def pre(self):
-        t = self.peek()
-        if t in ("E", "A", "E1", "A1"):
-            self.next()
+        t = self.toks[self.i]
+        if t in _QUANTIFIERS:
+            self.i += 1
             v = self.variable()
             self.expect(".")
-            body = self.pre()
-            cls = {"E": Exists, "A": Forall, "E1": Exists1, "A1": Forall1}[t]
-            return cls(v, body)
+            return _QUANTIFIERS[t](v, self.pre())
         if t == "wneg":
-            self.next()
+            self.i += 1
             return WNeg(self.pre())
         if t == "!":
             at = self.i
-            self.next()
+            self.i += 1
             body = self.pre()
             if not is_first_order(body):
                 self.fail("'!' applies to first-order subformulas only", at)
@@ -192,25 +183,44 @@ class _Parser:
         return self.prim()
 
     def prim(self):
-        t = self.peek()
-        if t == "bot":
-            self.next()
-            return Bot()
-        if t == "top":
-            self.next()
-            return Top()
+        t = self.toks[self.i]
+        if t not in _NOT_TERMS:
+            # relation/atom application, or a term (in)equality
+            at = self.i
+            self.i += 1
+            if self.toks[self.i] != "(" or t in self.constants:
+                self.i = at
+                return self.eq_or_seq()
+            self.i += 1
+            args = self.termlist()
+            self.expect(")")
+            if t not in self.atoms:
+                return FOAtom(t, args)
+            d = self.atoms[t]
+            if len(args) != d.m:
+                self.fail("atom %s expects %d arguments, got %d" % (t, d.m, len(args)), at)
+            for a in args:
+                if not isinstance(a, Var):
+                    self.fail("generalized atoms take variables only", at)
+            return Gen(t, args)
         if t == "(":
-            self.next()
+            self.i += 1
             out = self.formula()
             self.expect(")")
             return out
+        if t == "bot":
+            self.i += 1
+            return Bot()
+        if t == "top":
+            self.i += 1
+            return Top()
         if t == "=":
             # dependence atom "=( ... )"
-            self.next()
+            self.i += 1
             self.expect("(")
             first = self.varlist()
-            if self.peek() == ";":
-                self.next()
+            if self.toks[self.i] == ";":
+                self.i += 1
                 dep = self.varlist()
                 dets = first
             else:
@@ -222,7 +232,7 @@ class _Parser:
                 self.fail("dependence atom needs a dependent part")
             return Dep(dets, dep)
         if t == "inc":
-            self.next()
+            self.i += 1
             self.expect("(")
             xs = self.varlist()
             self.expect(";")
@@ -232,7 +242,7 @@ class _Parser:
                 self.fail("inclusion atom sides must be nonempty and of equal length")
             return Inc(xs, ys)
         if t == "ind":
-            self.next()
+            self.i += 1
             self.expect("(")
             xs = self.varlist()
             self.expect(";")
@@ -243,43 +253,25 @@ class _Parser:
             if not xs or not ys:
                 self.fail("independence atom needs nonempty outer parts")
             return Ind(xs, zs, ys)
-        if self.is_ident(t) and t not in KEYWORDS:
-            # relation/atom application, or a term (in)equality
-            save = self.i
-            name = self.next()
-            if self.peek() == "(" and name not in self.constants:
-                self.next()
-                args = self.termlist()
-                self.expect(")")
-                if name in self.atoms:
-                    d = self.atoms[name]
-                    if len(args) != d.m:
-                        self.fail("atom %s expects %d arguments, got %d"
-                                  % (name, d.m, len(args)), save)
-                    for a in args:
-                        if not isinstance(a, Var):
-                            self.fail("generalized atoms take variables only", save)
-                    return Gen(name, args)
-                return FOAtom(name, args)
-            self.i = save
-            return self.eq_or_seq()
         self.fail("expected a formula, got %r" % t)
 
     def eq_or_seq(self):
         xs = [self.term()]
-        while self.is_ident(self.peek()) and self.peek() not in KEYWORDS:
+        while self.toks[self.i] not in _NOT_TERMS:
             xs.append(self.term())
         at = self.i
-        op = self.next()
-        if op not in ("=", "!="):
+        op = self.toks[at]
+        if op != "=" and op != "!=":
             self.fail("expected '=' or '!=' after term sequence", at)
+        self.i += 1
         ys = [self.term()]
-        while self.is_ident(self.peek()) and self.peek() not in KEYWORDS:
+        while self.toks[self.i] not in _NOT_TERMS:
             ys.append(self.term())
         if len(xs) != len(ys):
             self.fail("sequence comparison sides must have equal length", at)
         if len(xs) == 1:
             return Eq(xs[0], ys[0]) if op == "=" else NegEq(xs[0], ys[0])
+        self.sugar = True
         if op == "=":
             return SeqEq(tuple(xs), tuple(ys))
         return SeqNeq(tuple(xs), tuple(ys))
@@ -288,9 +280,9 @@ class _Parser:
 def parse_formula(text, constants=(), atoms=None, expand=True, allow_reserved=False):
     p = _Parser(text, constants, atoms, allow_reserved)
     out = p.formula()
-    if p.peek() is not None:
+    if p.toks[p.i] is not None:
         p.fail("trailing input")
-    if expand:
+    if expand and p.sugar:
         out = expand_sugar(out)
     return out
 

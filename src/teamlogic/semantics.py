@@ -562,10 +562,13 @@ def _prepare_uncached(model, phi, X):
 def _relation_literal(model, phi, X):
     """For P(xs) or !P(xs) over team variables, the pair (projection,
     relation set): a row satisfies P(xs) iff its xs-projection is in the
-    set.  None for any other formula."""
-    if type(phi) not in (FOAtom, NegFOAtom) or not _team_vars_only(X, phi.args):
+    set.  None for any other formula, and for a relation the model lacks:
+    the Tarskian row test looks that up on each row, so the empty team
+    holds and any other team raises ModelError, as in literal mode."""
+    if (type(phi) not in (FOAtom, NegFOAtom) or phi.rel not in model.rels
+            or not _team_vars_only(X, phi.args)):
         return None
-    holds = model.rel(phi.rel)
+    holds = model.rels[phi.rel]
     if len(phi.args) == 1:
         holds = {t[0] for t in holds if len(t) == 1}  # _key yields bare values
     return _key(X, phi.args), holds

@@ -1,3 +1,5 @@
+import glob
+import os
 import random
 
 import pytest
@@ -7,7 +9,8 @@ from teamlogic.checks import gen_full
 from teamlogic.formula import (SHAPES, And, Bot, BoolOr, Const, Dep, Eq, Exists,
                                Exists1, FOAtom, Forall, Forall1, Gen, Implies,
                                Inc, Ind, NegEq, NegFOAtom, SeqEq, SeqNeq,
-                               SplitOr, Top, Var, WNeg)
+                               SplitOr, Top, Var, WNeg, expand_sugar,
+                               subformulas)
 from teamlogic.genatom import register_builtin_atoms
 from teamlogic.parser import ParseError, parse_formula, print_formula
 
@@ -171,3 +174,62 @@ def test_round_trip_survives_reprinting(seed):
     once = print_formula(phi)
     twice = print_formula(parse_formula(once, expand=False))
     assert once == twice
+
+
+# Everything a token can be, and a space, a reserved-looking name and a bad
+# character: inserting any of them anywhere may only give a ParseError.
+_TOKEN_ALPHABET = ["->", "!=", "||", "/\\", "\\/", "(", ")", ".", ",", ";", "=",
+                   "!", "x", "c", "w$1", "P", "dep1", "E", "A1", "wneg", "bot",
+                   "top", "inc", "ind", " ", "@"]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9))
+def test_corrupted_formulas_parse_or_raise_a_parse_error_inside_the_text(seed):
+    text = print_formula(gen_full(random.Random(seed), depth=2))
+    corrupted = [text[:i] + text[i + 1:] for i in range(len(text))]
+    corrupted += [text[:i] + tok + text[i:] for i in range(len(text) + 1)
+                  for tok in _TOKEN_ALPHABET]
+    atoms = register_builtin_atoms()
+    for bad in corrupted:
+        try:
+            parse_formula(bad, constants=("c",), atoms=atoms)
+        except ParseError as err:
+            assert 0 <= err.span.start <= err.span.end <= len(bad), (bad, str(err))
+
+
+def _proof_formula_texts():
+    """The formula of every assume line and numbered step of proofs/*.prf."""
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..",
+                                              "proofs", "*.prf"))):
+        with open(path) as fh:
+            for raw in fh:
+                line = raw.split("#", 1)[0].strip()
+                if line.startswith("assume "):
+                    yield line[len("assume "):]
+                elif line[:1].isdigit():
+                    yield line.partition(".")[2].rpartition(";")[0]
+
+
+def _expanded_both_ways(text):
+    once = parse_formula(text, allow_reserved=True)
+    return once, expand_sugar(parse_formula(text, expand=False, allow_reserved=True))
+
+
+def test_proof_formulas_parse_as_expand_sugar_of_their_unexpanded_parse():
+    texts = list(_proof_formula_texts())
+    assert len(texts) > 100
+    for text in texts:
+        once, twice = _expanded_both_ways(text)
+        assert once == twice, text
+
+
+@pytest.mark.parametrize("text", [
+    "x = y -> P(x)", "x = y -> y = z -> P(x)", "a b = c d", "a b != c d",
+    "(x = y -> (a b != c d)) /\\ E z. (z y = x x)", "! (a b = c d)",
+    "=(x ; y) || (a b = c d /\\ x = y -> a b != c d)", "wneg (a b = c d)",
+])
+def test_sugar_is_expanded_as_expand_sugar_expands_it(text):
+    once, twice = _expanded_both_ways(text)
+    assert once == twice
+    assert not {Implies, SeqEq, SeqNeq} & {type(phi) for phi in subformulas(once)}

@@ -1,16 +1,20 @@
 import glob
+import itertools
 import os
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from teamlogic.entailment import entails_bounded
-from teamlogic.formula import (Const, Eq, FOAtom, Inc, NegEq, NegFOAtom,
-                               SeqNeq, Var)
+from teamlogic.formula import (And, Bot, Const, Eq, FOAtom, Inc, NegEq,
+                               NegFOAtom, SeqNeq, SplitOr, Top, Var)
 from teamlogic.genatom import register_builtin_atoms
+from teamlogic.model import Model
 from teamlogic.parser import parse_formula
 from teamlogic.negation import wneg
 from teamlogic.proofkernel import (ProofError, bounded_fo_step, check_proof,
                                    close_formula, parse_proof)
+from teamlogic.semantics import eval_single
 
 PROOF_DIR = os.path.join(os.path.dirname(__file__), "..", "proofs")
 
@@ -242,6 +246,68 @@ def test_bounded_fo_step_rejects_quantifiers_and_large_inputs():
     many = [Eq(Var("v%d" % i), Var("v%d" % (i + 1))) for i in range(20)]
     with pytest.raises(ProofError):
         bounded_fo_step(many, parse_formula("bot"), atom_cap=4)
+
+
+def _onto_prefixes(n):
+    """Each map of n terms onto 0..d-1, some d, with first uses in order."""
+    maps = [()]
+    for _ in range(n):
+        maps = [m + (k,) for m in maps for k in range(max(m, default=-1) + 2)]
+    return maps
+
+
+def _subsets(items):
+    return itertools.chain.from_iterable(
+        itertools.combinations(items, k) for k in range(len(items) + 1))
+
+
+def _entails_by_models(terms, premises, conclusion):
+    """Brute force with eval_single: premises |= conclusion on every model of
+    P/1 and Q/2 with at most len(terms) elements, under every assignment.  A
+    quantifier-free formula is decided by the elements its terms name, and
+    renaming elements changes no verdict, so each domain is 0..d-1 and the
+    terms name its elements in order of first use."""
+    for values in _onto_prefixes(len(terms)):
+        domain = range(max(values) + 1)
+        named = dict(zip(terms, values))
+        s = {t.name: e for t, e in named.items() if isinstance(t, Var)}
+        consts = {t.name: e for t, e in named.items() if isinstance(t, Const)}
+        for p in _subsets([(a,) for a in domain]):
+            for q in _subsets(list(itertools.product(domain, repeat=2))):
+                model = Model(domain, {"P": p, "Q": q}, consts)
+                if (all(eval_single(model, s, f) for f in premises)
+                        and not eval_single(model, s, conclusion)):
+                    return False
+    return True
+
+
+@st.composite
+def _fo_steps(draw):
+    """Quantifier-free premises and a conclusion over at most three distinct
+    terms (variables and at most one constant), P/1 and Q/2."""
+    terms = draw(st.lists(st.sampled_from([Var("x"), Var("y"), Var("z"), Const("c")]),
+                          min_size=1, max_size=3, unique=True))
+    t = st.sampled_from(terms)
+    leaves = st.one_of(
+        st.just(Bot()), st.just(Top()),
+        st.builds(Eq, t, t), st.builds(NegEq, t, t),
+        st.builds(lambda a: FOAtom("P", (a,)), t),
+        st.builds(lambda a: NegFOAtom("P", (a,)), t),
+        st.builds(lambda a, b: FOAtom("Q", (a, b)), t, t),
+        st.builds(lambda a, b: NegFOAtom("Q", (a, b)), t, t))
+    formulas = st.recursive(leaves, lambda f: st.one_of(st.builds(And, f, f),
+                                                       st.builds(SplitOr, f, f)),
+                            max_leaves=4)
+    return terms, draw(st.lists(formulas, max_size=3)), draw(formulas)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fo_steps())
+@example(([x, y], [Eq(x, y), FOAtom("Q", (x, y))], FOAtom("Q", (y, x))))  # congruence
+def test_bounded_fo_step_agrees_with_every_small_model(step):
+    terms, premises, conclusion = step
+    assert (bounded_fo_step(premises, conclusion)
+            == _entails_by_models(terms, premises, conclusion))
 
 
 def test_close_formula_scripts_are_accepted():

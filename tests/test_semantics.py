@@ -517,3 +517,17 @@ def test_an_evaluator_is_freed_without_the_cycle_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("literal", [False, True], ids=["default", "literal"])
+@pytest.mark.parametrize("phi", [FOAtom("R", (x,)), NegFOAtom("R", (x,)),
+                                 And(Eq(x, x), FOAtom("R", (x,)))],
+                         ids=["R(x)", "!R(x)", "x = x /\\ R(x)"])
+def test_unknown_relation_holds_on_the_empty_team_and_raises_on_a_row(phi, literal):
+    """A relation the model lacks is looked up when a row is tested, in
+    both modes: no row, nothing to look up."""
+    from teamlogic.model import ModelError
+    model = Model(("0", "1"))
+    assert eval_formula(model, Team(("x",), []), phi, literal=literal) is True
+    with pytest.raises(ModelError, match="unknown relation R"):
+        eval_formula(model, Team(("x",), [("0",)]), phi, literal=literal)
