@@ -17,9 +17,8 @@ relation or atom) is a label.  children, terms and rebuild read the table,
 and so do the traversals over it: free_vars, substitute, expand_sugar,
 is_first_order, subformulas and match.  A new node class needs nothing more
 here than its annotated fields (and, if it is first-order, its entry in
-_QUANTIFIER_FREE_FO or _FIRST_ORDER and its dual in _FO_DUALS); the clauses
-that give it a meaning (the evaluator, the printer) are written out where
-they live.
+_FIRST_ORDER and its dual in _FO_DUALS); the clauses that give it a meaning
+(the evaluator, the printer) are written out where they live.
 """
 
 from operator import attrgetter
@@ -425,6 +424,16 @@ def exists_block(vs, body):
     return body
 
 
+def exists_prefix(phi):
+    """The variables of phi's leading existential quantifiers, outermost
+    first, and the formula below them: the inverse of exists_block."""
+    vs = []
+    while isinstance(phi, Exists):
+        vs.append(phi.v)
+        phi = phi.body
+    return tuple(vs), phi
+
+
 def forall_block(vs, body):
     for v in reversed(list(vs)):
         body = Forall(v, body)
@@ -488,20 +497,14 @@ def substitute(phi, sigma):
     return rebuild(phi, [substitute(c, sigma) for c in shape.children(phi)], ts)
 
 
-_QUANTIFIER_FREE_FO = frozenset((FOAtom, NegFOAtom, Eq, NegEq, Bot, Top, SeqEq,
-                                 SeqNeq, And, SplitOr, Implies))
-_FIRST_ORDER = _QUANTIFIER_FREE_FO | {Exists, Forall}
+_FIRST_ORDER = frozenset((FOAtom, NegFOAtom, Eq, NegEq, Bot, Top, SeqEq, SeqNeq,
+                          And, SplitOr, Implies, Exists, Forall))
 
 
 def is_first_order(phi):
     """True iff phi uses only FO literals, bot/top, /\\, \\/, E, A (sugar over
     FO parts counts as FO)."""
     return type(phi) in _FIRST_ORDER and all(map(is_first_order, children(phi)))
-
-
-def is_quantifier_free_fo(phi):
-    return (type(phi) in _QUANTIFIER_FREE_FO
-            and all(map(is_quantifier_free_fo, children(phi))))
 
 
 class NotFirstOrderError(ValueError):

@@ -7,23 +7,37 @@ Script format, one step per line ("#" starts a comment):
     qed K
 
 Regular lines carry their (sequential) number K and a justification after
-the LAST ";" on the line.  "assume" opens a subproof and is numbered
-automatically; "qed K" closes the innermost subproof, which must have been
-opened by assume line K.  Closed subproofs are cited by their assume line's
-number.  The last line at depth zero is the proof's conclusion; lines
-justified by the rule "premise" form its premise set.
+the LAST ";" on the line; each citation is a line number.  "assume" opens a
+subproof and is numbered automatically; "qed K" closes the innermost
+subproof, which must have been opened by assume line K.  Closed subproofs
+are cited by their assume line's number.  The last line at depth zero is
+the proof's conclusion; lines justified by the rule "premise" form its
+premise set.
 
-Rule registry: premise, ExI, ExE, WNegE, IncPro, IncTrs, IncCmp, IndE,
-AndI, AndE, OrI, EqRefl, FO.
+parse_proof makes one Step per line.  The Step of an assume line is also the
+subproof it opens: it carries the subproof's last formula, and its scope
+without its own number is the scope outside the subproof.  A line is in
+scope at a later step when every subproof open at the line is still open at
+the step.
+
+check_proof looks each justification up in _RULES, one plain function
+rule(checker, step) per rule name:
+
+    premise, ExI, ExE, WNegE, IncPro, IncTrs, IncCmp, IndE, AndI, AndE,
+    OrI, EqRefl, FO
+
+The FO rule compiles each formula once into a test of a tuple of truth
+values, one per distinct literal, and runs the tests over every truth
+assignment.
 """
 
 import itertools
 
 from .formula import (And, Bot, Const, Dep, Eq, Exists, FOAtom, Gen,
-                      Implies, Inc, Ind, NegEq, NegFOAtom, SeqEq, SplitOr, Top,
-                      Var, alpha_equal, exists_block, expand_sugar, free_vars,
-                      is_quantifier_free_fo, match, subformulas, substitute,
-                      terms)
+                      Implies, Inc, Ind, NegEq, NegFOAtom, SeqEq, SplitOr,
+                      SubstitutionError, Top, Var, alpha_equal, exists_block,
+                      exists_prefix, expand_sugar, free_vars, match,
+                      subformulas, substitute, terms)
 from .negation import NotNegatableError, wneg
 
 
@@ -32,28 +46,18 @@ class ProofError(ValueError):
 
 
 class Step:
-    def __init__(self, num, formula, rule, cites, depth, scope):
+    def __init__(self, num, formula, rule, cites, scope):
         self.num = num
         self.formula = formula
         self.rule = rule
         self.cites = cites
-        self.depth = depth
-        self.scope = scope  # tuple of enclosing assume-line numbers
-
-
-class Block:
-    def __init__(self, num, assumption, scope):
-        self.num = num
-        self.assumption = assumption
-        self.scope = scope  # scope OUTSIDE the block
-        self.last = None
-        self.closed = False
+        self.scope = scope  # assume-line numbers of the subproofs open here
+        self.last = None  # the last formula of the subproof an assume opens
 
 
 class ProofScript:
-    def __init__(self, steps, blocks, premises, conclusion):
+    def __init__(self, steps, premises, conclusion):
         self.steps = steps  # dict num -> Step
-        self.blocks = blocks  # dict assume-num -> Block
         self.premises = premises
         self.conclusion = conclusion
 
@@ -79,45 +83,36 @@ class Verdict:
 def parse_proof(text, constants=(), atoms=None):
     from .parser import parse_formula
     steps = {}
-    blocks = {}
-    order = []
     stack = []  # open assume-line numbers
-    counter = 0
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("assume "):
-            counter += 1
             phi = parse_formula(line[len("assume "):], constants, atoms,
                                 expand=False, allow_reserved=True)
-            blk = Block(counter, phi, tuple(stack))
-            blocks[counter] = blk
-            stack.append(counter)
-            st = Step(counter, phi, "assume", (), len(stack), tuple(stack))
-            steps[counter] = st
-            order.append(st)
+            num = len(steps) + 1
+            stack.append(num)
+            steps[num] = Step(num, phi, "assume", (), tuple(stack))
             continue
         if line.startswith("qed"):
             parts = line.split()
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not parts[1].isdecimal():
                 raise ProofError("malformed qed line: %r" % raw)
             k = int(parts[1])
             if not stack or stack[-1] != k:
                 raise ProofError("qed %d does not close the innermost subproof" % k)
-            blk = blocks[k]
-            if blk.last is None:
+            if steps[k].last is None:
                 raise ProofError("subproof %d is empty" % k)
-            blk.closed = True
             stack.pop()
             continue
         head, _, tail = line.partition(".")
-        if not head.strip().isdigit():
+        if not head.strip().isdecimal():
             raise ProofError("missing step number: %r" % raw)
         num = int(head)
-        counter += 1
-        if num != counter:
-            raise ProofError("step %d out of sequence (expected %d)" % (num, counter))
+        if num != len(steps) + 1:
+            raise ProofError("step %d out of sequence (expected %d)"
+                             % (num, len(steps) + 1))
         body, sep, just = tail.rpartition(";")
         if not sep:
             raise ProofError("missing justification on step %d" % num)
@@ -126,286 +121,266 @@ def parse_proof(text, constants=(), atoms=None):
         jparts = just.split()
         if not jparts:
             raise ProofError("empty justification on step %d" % num)
-        rule, cites = jparts[0], tuple(int(c) for c in jparts[1:])
-        st = Step(num, phi, rule, cites, len(stack), tuple(stack))
-        steps[num] = st
-        order.append(st)
+        if jparts[0] == "assume":
+            raise ProofError("step %d: assume opens a subproof on a line of its "
+                             "own and is not a rule" % num)
+        cites = tuple(_citation(num, c) for c in jparts[1:])
+        steps[num] = Step(num, phi, jparts[0], cites, tuple(stack))
         if stack:
-            blocks[stack[-1]].last = phi
+            steps[stack[-1]].last = phi
     if stack:
         raise ProofError("unclosed subproof %d" % stack[-1])
-    depth0 = [s for s in order if not s.scope]
+    depth0 = [s for s in steps.values() if not s.scope]
     if not depth0:
         raise ProofError("no conclusion at depth 0")
-    premises = [s.formula for s in order if s.rule == "premise"]
-    return ProofScript(steps, blocks, premises, depth0[-1].formula)
+    premises = [s.formula for s in steps.values() if s.rule == "premise"]
+    return ProofScript(steps, premises, depth0[-1].formula)
+
+
+def _citation(num, word):
+    try:
+        return int(word)
+    except ValueError:
+        raise ProofError("step %d cites %r, which is not a line number"
+                         % (num, word)) from None
 
 
 # --- checking -----------------------------------------------------------------
 
 
-def check_proof(script, registry=None, fo_atom_cap=16):
-    ck = _Checker(script, registry, fo_atom_cap)
-    return ck.run()
+def check_proof(script, registry=None):
+    ck = _Checker(script, registry)
+    for num in sorted(script.steps):
+        st = script.steps[num]
+        if st.rule == "assume":
+            continue
+        try:
+            rule = _RULES.get(st.rule)
+            if rule is None:
+                raise ProofError("unknown rule %r" % st.rule)
+            rule(ck, st)
+        except ProofError as e:
+            return Verdict(False, num, str(e))
+    return Verdict(True)
+
+
+def _in_scope(scope, st):
+    """Is a line whose open subproofs are `scope` in scope at step st?"""
+    return st.scope[:len(scope)] == scope
 
 
 class _Checker:
-    def __init__(self, script, registry, fo_atom_cap):
+    def __init__(self, script, registry):
         self.script = script
         self.registry = registry
-        self.fo_atom_cap = fo_atom_cap
 
-    def run(self):
-        for num in sorted(self.script.steps):
-            st = self.script.steps[num]
-            try:
-                self.check_step(st)
-            except ProofError as e:
-                return Verdict(False, num, str(e))
-        return Verdict(True)
-
-    # -- scope helpers -------------------------------------------------------
-
-    def accessible_line(self, st, k):
-        if k not in self.script.steps or k >= st.num:
+    def line(self, st, k):
+        """The formula of line k, which st cites."""
+        cited = self.script.steps.get(k)
+        if cited is None or k >= st.num:
             raise ProofError("citation of line %d is out of range" % k)
-        cited = self.script.steps[k]
-        if cited.rule == "assume" and k in self.script.blocks:
-            # the assume line itself is citable only from inside its block
-            if k not in st.scope:
-                raise ProofError("line %d is an assumption of a closed subproof" % k)
-        if cited.scope != st.scope[:len(cited.scope)]:
+        # the assume line itself is citable only from inside its subproof
+        if cited.rule == "assume" and k not in st.scope:
+            raise ProofError("line %d is an assumption of a closed subproof" % k)
+        if not _in_scope(cited.scope, st):
             raise ProofError("line %d is not in scope at line %d" % (k, st.num))
         return cited.formula
 
-    def accessible_block(self, st, k):
-        blk = self.script.blocks.get(k)
-        if blk is None or k >= st.num:
+    def subproof(self, st, k):
+        """The assume step of subproof k, which st cites."""
+        blk = self.script.steps.get(k)
+        if blk is None or blk.rule != "assume" or k >= st.num:
             raise ProofError("citation of subproof %d is out of range" % k)
-        if not blk.closed:
+        if k in st.scope:
             raise ProofError("subproof %d is still open" % k)
-        if blk.scope != st.scope[:len(blk.scope)]:
+        if not _in_scope(blk.scope[:-1], st):
             raise ProofError("subproof %d is not in scope at line %d" % (k, st.num))
         return blk
-
-    def formulas_in_scope_before(self, st, upto):
-        """Formulas citable at step `upto` (used for eigenvariable checks)."""
-        out = []
-        ref = self.script.steps[upto]
-        for num in sorted(self.script.steps):
-            if num >= upto:
-                break
-            s = self.script.steps[num]
-            if s.scope == ref.scope[:len(s.scope)]:
-                out.append(s.formula)
-        return out
-
-    # -- dispatch ------------------------------------------------------------
-
-    def check_step(self, st):
-        handlers = {
-            "assume": lambda st: None,
-            "premise": self.r_premise,
-            "ExI": self.r_exi,
-            "ExE": self.r_exe,
-            "WNegE": self.r_wnege,
-            "IncPro": self.r_incpro,
-            "IncTrs": self.r_inctrs,
-            "IncCmp": self.r_inccmp,
-            "IndE": self.r_inde,
-            "AndI": self.r_andi,
-            "AndE": self.r_ande,
-            "OrI": self.r_ori,
-            "EqRefl": self.r_eqrefl,
-            "FO": self.r_fo,
-        }
-        if st.rule not in handlers:
-            raise ProofError("unknown rule %r" % st.rule)
-        handlers[st.rule](st)
 
     def cited(self, st, want=None):
         if want is not None and len(st.cites) != want:
             raise ProofError("rule %s expects %d citations, got %d"
                              % (st.rule, want, len(st.cites)))
-        return [self.accessible_line(st, k) for k in st.cites]
+        return [self.line(st, k) for k in st.cites]
 
-    # -- rules ---------------------------------------------------------------
 
-    def r_premise(self, st):
-        if st.scope:
-            raise ProofError("premises must be stated at depth 0")
-        if st.cites:
-            raise ProofError("premise takes no citations")
+# --- rules --------------------------------------------------------------------
 
-    def r_exi(self, st):
-        (prem,) = self.cited(st, 1)
-        if not isinstance(st.formula, Exists):
-            raise ProofError("ExI conclusion must be existential")
-        x, body = st.formula.v, st.formula.body
-        candidates = {x} | {t for n in subformulas(prem) for t in terms(n)}
-        for t in candidates:
-            try:
-                if substitute(body, {x: t}) == prem or alpha_equal(
-                        expand_sugar(substitute(body, {x: t})), expand_sugar(prem)):
-                    return
-            except Exception:
-                continue
-        raise ProofError("cited formula is not an instance of the ExI body")
 
-    def r_exe(self, st):
-        if len(st.cites) != 2:
-            raise ProofError("ExE cites the existential line and a subproof")
-        src = self.accessible_line(st, st.cites[0])
-        blk = self.accessible_block(st, st.cites[1])
-        # strip as many quantifiers as needed to match the assumption
-        mapping = None
-        bound = []
-        probe_body = src
-        probe_bound = []
-        while True:
-            m = _match_eigen(probe_body, blk.assumption, set(probe_bound))
-            if m is not None:
-                mapping = m
-                bound = list(probe_bound)
-                break
-            if not isinstance(probe_body, Exists):
-                break
-            probe_bound.append(probe_body.v)
-            probe_body = probe_body.body
-        if mapping is None:
-            raise ProofError("assumption does not match the existential body")
-        eigen = [mapping.get(v, v) for v in bound]
-        if len(set(eigen)) != len(eigen):
-            raise ProofError("eigenvariables must be distinct")
-        eigenset = set(eigen)
-        if eigenset & free_vars(st.formula):
-            raise ProofError("eigenvariable occurs free in the conclusion")
-        if eigenset & free_vars(src):
-            raise ProofError("eigenvariable occurs free in the cited formula")
-        for phi in self.formulas_in_scope_before(st, self.script.steps[st.cites[1]].num):
-            if eigenset & free_vars(phi):
-                raise ProofError("eigenvariable occurs free in an open assumption")
-        if not alpha_equal(expand_sugar(blk.last), expand_sugar(st.formula)):
-            raise ProofError("conclusion differs from the subproof's last formula")
+def _premise(ck, st):
+    if st.scope:
+        raise ProofError("premises must be stated at depth 0")
+    if st.cites:
+        raise ProofError("premise takes no citations")
 
-    def r_wnege(self, st):
-        if len(st.cites) != 1:
-            raise ProofError("WNegE cites one subproof")
-        blk = self.accessible_block(st, st.cites[0])
-        if not isinstance(blk.last, Bot):
-            raise ProofError("the WNegE subproof must end in bot")
+
+def _exi(ck, st):
+    (prem,) = ck.cited(st, 1)
+    if not isinstance(st.formula, Exists):
+        raise ProofError("ExI conclusion must be existential")
+    x, body = st.formula.v, st.formula.body
+    for t in dict.fromkeys([x] + [t for n in subformulas(prem) for t in terms(n)]):
         try:
-            target = wneg(st.formula, self.registry)
-        except NotNegatableError as e:
-            raise ProofError(str(e))
-        if not alpha_equal(expand_sugar(blk.assumption), expand_sugar(target)):
-            raise ProofError("assumption is not the weak negation of the goal")
-
-    def r_incpro(self, st):
-        (prem,) = self.cited(st, 1)
-        if not isinstance(prem, Inc) or not isinstance(st.formula, Inc):
-            raise ProofError("IncPro relates two inclusion atoms")
-        src, dst = prem, st.formula
-        if len(dst.xs) != len(dst.ys):
-            raise ProofError("malformed inclusion atom")
-        for a, b in zip(dst.xs, dst.ys):
-            if not any(x == a and y == b for x, y in zip(src.xs, src.ys)):
-                raise ProofError("column pair (%s, %s) does not occur in the premise"
-                                 % (a.name, b.name))
-
-    def r_inctrs(self, st):
-        p1, p2 = self.cited(st, 2)
-        if not (isinstance(p1, Inc) and isinstance(p2, Inc)
-                and isinstance(st.formula, Inc)):
-            raise ProofError("IncTrs relates three inclusion atoms")
-        if p1.ys != p2.xs:
-            raise ProofError("middle sequences do not match")
-        if st.formula.xs != p1.xs or st.formula.ys != p2.ys:
-            raise ProofError("conclusion does not chain the two premises")
-
-    def r_inccmp(self, st):
-        p1, p2 = self.cited(st, 2)
-        if not isinstance(p1, Inc):
-            raise ProofError("the first IncCmp premise must be an inclusion atom")
-        pairs = list(zip(p1.ys, p1.xs))  # (pattern variable, replacement)
-        # the rule is not extended to generalized atoms
-        if (any(isinstance(n, Gen) for n in subformulas(p2))
-                or not _cmp_match(p2, st.formula, pairs)):
-            raise ProofError("conclusion is not a compression instance of the premise")
-
-    def r_inde(self, st):
-        atom, i1, i2 = self.cited(st, 3)
-        if isinstance(atom, Dep):
-            atom = Ind(atom.dependent, atom.determiners, atom.dependent)
-        if not isinstance(atom, Ind):
-            raise ProofError("IndE needs an independence (or dependence) atom")
-        if not (isinstance(i1, Inc) and isinstance(i2, Inc)):
-            raise ProofError("IndE needs two inclusion premises")
-        if i1.ys != i2.ys:
-            raise ProofError("the two inclusion premises must share their right side")
-        rhs = i1.ys
-        head = atom.xs + atom.ys + atom.zs
-        if rhs[:len(head)] != head:
-            raise ProofError("inclusion right side must start with the atom's "
-                             "variables in x,y,z order")
-        ss = rhs[len(head):]
-        kx, ky, kz, ks = len(atom.xs), len(atom.ys), len(atom.zs), len(ss)
-        total = kx + ky + kz + ks
-        if len(i1.xs) != total or len(i2.xs) != total:
-            raise ProofError("inclusion left sides have the wrong length")
-        w1, u1, v1 = i1.xs[:kx], i1.xs[kx:kx + ky], i1.xs[kx + ky:kx + ky + kz]
-        w2, u2, v2 = i2.xs[:kx], i2.xs[kx:kx + ky], i2.xs[kx + ky:kx + ky + kz]
-        stated = st.formula
-        fresh = []
-        probe = stated
-        for _ in range(total):
-            if not isinstance(probe, Exists):
-                raise ProofError("IndE conclusion must bind %d fresh variables" % total)
-            fresh.append(probe.v)
-            probe = probe.body
-        if len(set(fresh)) != len(fresh):
-            raise ProofError("IndE bound variables must be distinct")
-        outside = (set(free_vars(atom)) | set(free_vars(i1)) | set(free_vars(i2)))
-        if set(fresh) & outside:
-            raise ProofError("IndE bound variables must be fresh")
-        w3 = tuple(fresh[:kx])
-        u3 = tuple(fresh[kx:kx + ky])
-        v3 = tuple(fresh[kx + ky:kx + ky + kz])
-        cons = _seq_eq(w3 + u3 + v3, tuple(w1) + tuple(u2) + tuple(v2))
-        guard = cons if kz == 0 else Implies(_seq_eq(tuple(v1), tuple(v2)), cons)
-        expected = exists_block(fresh, And(Inc(tuple(fresh), rhs), guard))
-        if not alpha_equal(expand_sugar(expected), expand_sugar(stated)):
-            raise ProofError("IndE conclusion has the wrong shape")
-
-    def r_andi(self, st):
-        p1, p2 = self.cited(st, 2)
-        if not isinstance(st.formula, And) or st.formula.l != p1 or st.formula.r != p2:
-            raise ProofError("AndI conclusion must conjoin the cited lines in order")
-
-    def r_ande(self, st):
-        (prem,) = self.cited(st, 1)
-        if not isinstance(prem, And) or st.formula not in (prem.l, prem.r):
-            raise ProofError("AndE conclusion must be a conjunct of the cited line")
-
-    def r_ori(self, st):
-        (prem,) = self.cited(st, 1)
-        if not isinstance(st.formula, SplitOr) or prem not in (st.formula.l, st.formula.r):
-            raise ProofError("OrI conclusion must have the cited line as a disjunct")
-
-    def r_eqrefl(self, st):
-        self.cited(st, 0)
-        f = st.formula
-        if isinstance(f, Eq) and f.lhs == f.rhs:
+            inst = substitute(body, {x: t})
+        except SubstitutionError:  # a constant in a variables-only argument
+            continue
+        if inst == prem or alpha_equal(expand_sugar(inst), expand_sugar(prem)):
             return
-        if isinstance(f, SeqEq) and f.xs == f.ys:
-            return
-        raise ProofError("EqRefl concludes t = t only")
+    raise ProofError("cited formula is not an instance of the ExI body")
 
-    def r_fo(self, st):
-        prems = self.cited(st)
-        if not bounded_fo_step(prems, st.formula, self.fo_atom_cap):
-            raise ProofError("conclusion does not follow by quantifier-free "
-                             "first-order reasoning")
+
+def _exe(ck, st):
+    if len(st.cites) != 2:
+        raise ProofError("ExE cites the existential line and a subproof")
+    src = ck.line(st, st.cites[0])
+    blk = ck.subproof(st, st.cites[1])
+    # strip as many quantifiers as needed to match the assumption
+    vs, body = exists_prefix(src)
+    for n in range(len(vs) + 1):
+        mapping = _match_eigen(exists_block(vs[n:], body), blk.formula, set(vs[:n]))
+        if mapping is not None:
+            break
+    else:
+        raise ProofError("assumption does not match the existential body")
+    eigen = [mapping.get(v, v) for v in vs[:n]]
+    if len(set(eigen)) != len(eigen):
+        raise ProofError("eigenvariables must be distinct")
+    eigenset = set(eigen)
+    if eigenset & free_vars(st.formula):
+        raise ProofError("eigenvariable occurs free in the conclusion")
+    if eigenset & free_vars(src):
+        raise ProofError("eigenvariable occurs free in the cited formula")
+    for s in ck.script.steps.values():
+        if (s.num < blk.num and _in_scope(s.scope, blk)
+                and eigenset & free_vars(s.formula)):
+            raise ProofError("eigenvariable occurs free in an open assumption")
+    if not alpha_equal(expand_sugar(blk.last), expand_sugar(st.formula)):
+        raise ProofError("conclusion differs from the subproof's last formula")
+
+
+def _wnege(ck, st):
+    if len(st.cites) != 1:
+        raise ProofError("WNegE cites one subproof")
+    blk = ck.subproof(st, st.cites[0])
+    if not isinstance(blk.last, Bot):
+        raise ProofError("the WNegE subproof must end in bot")
+    try:
+        target = wneg(st.formula, ck.registry)
+    except NotNegatableError as e:
+        raise ProofError(str(e))
+    if not alpha_equal(expand_sugar(blk.formula), expand_sugar(target)):
+        raise ProofError("assumption is not the weak negation of the goal")
+
+
+def _incpro(ck, st):
+    (prem,) = ck.cited(st, 1)
+    if not isinstance(prem, Inc) or not isinstance(st.formula, Inc):
+        raise ProofError("IncPro relates two inclusion atoms")
+    src, dst = prem, st.formula
+    if len(dst.xs) != len(dst.ys):
+        raise ProofError("malformed inclusion atom")
+    for a, b in zip(dst.xs, dst.ys):
+        if not any(x == a and y == b for x, y in zip(src.xs, src.ys)):
+            raise ProofError("column pair (%s, %s) does not occur in the premise"
+                             % (a.name, b.name))
+
+
+def _inctrs(ck, st):
+    p1, p2 = ck.cited(st, 2)
+    if not (isinstance(p1, Inc) and isinstance(p2, Inc)
+            and isinstance(st.formula, Inc)):
+        raise ProofError("IncTrs relates three inclusion atoms")
+    if p1.ys != p2.xs:
+        raise ProofError("middle sequences do not match")
+    if st.formula.xs != p1.xs or st.formula.ys != p2.ys:
+        raise ProofError("conclusion does not chain the two premises")
+
+
+def _inccmp(ck, st):
+    p1, p2 = ck.cited(st, 2)
+    if not isinstance(p1, Inc):
+        raise ProofError("the first IncCmp premise must be an inclusion atom")
+    pairs = list(zip(p1.ys, p1.xs))  # (pattern variable, replacement)
+    # the rule is not extended to generalized atoms
+    if (any(isinstance(n, Gen) for n in subformulas(p2))
+            or not _cmp_match(p2, st.formula, pairs)):
+        raise ProofError("conclusion is not a compression instance of the premise")
+
+
+def _inde(ck, st):
+    atom, i1, i2 = ck.cited(st, 3)
+    if isinstance(atom, Dep):
+        atom = Ind(atom.dependent, atom.determiners, atom.dependent)
+    if not isinstance(atom, Ind):
+        raise ProofError("IndE needs an independence (or dependence) atom")
+    if not (isinstance(i1, Inc) and isinstance(i2, Inc)):
+        raise ProofError("IndE needs two inclusion premises")
+    if i1.ys != i2.ys:
+        raise ProofError("the two inclusion premises must share their right side")
+    rhs = i1.ys
+    head = atom.xs + atom.ys + atom.zs
+    if rhs[:len(head)] != head:
+        raise ProofError("inclusion right side must start with the atom's "
+                         "variables in x,y,z order")
+    total = len(rhs)
+    if len(i1.xs) != total or len(i2.xs) != total:
+        raise ProofError("inclusion left sides have the wrong length")
+    kx, ky, k = len(atom.xs), len(atom.ys), len(head)
+    w1, v1 = i1.xs[:kx], i1.xs[kx + ky:k]
+    u2, v2 = i2.xs[kx:kx + ky], i2.xs[kx + ky:k]
+    fresh = exists_prefix(st.formula)[0][:total]
+    if len(fresh) < total:
+        raise ProofError("IndE conclusion must bind %d fresh variables" % total)
+    if len(set(fresh)) != len(fresh):
+        raise ProofError("IndE bound variables must be distinct")
+    outside = (set(free_vars(atom)) | set(free_vars(i1)) | set(free_vars(i2)))
+    if set(fresh) & outside:
+        raise ProofError("IndE bound variables must be fresh")
+    cons = _seq_eq(fresh[:k], w1 + u2 + v2)
+    guard = cons if not atom.zs else Implies(_seq_eq(v1, v2), cons)
+    expected = exists_block(fresh, And(Inc(fresh, rhs), guard))
+    if not alpha_equal(expand_sugar(expected), expand_sugar(st.formula)):
+        raise ProofError("IndE conclusion has the wrong shape")
+
+
+def _andi(ck, st):
+    p1, p2 = ck.cited(st, 2)
+    if not isinstance(st.formula, And) or st.formula.l != p1 or st.formula.r != p2:
+        raise ProofError("AndI conclusion must conjoin the cited lines in order")
+
+
+def _ande(ck, st):
+    (prem,) = ck.cited(st, 1)
+    if not isinstance(prem, And) or st.formula not in (prem.l, prem.r):
+        raise ProofError("AndE conclusion must be a conjunct of the cited line")
+
+
+def _ori(ck, st):
+    (prem,) = ck.cited(st, 1)
+    if not isinstance(st.formula, SplitOr) or prem not in (st.formula.l, st.formula.r):
+        raise ProofError("OrI conclusion must have the cited line as a disjunct")
+
+
+def _eqrefl(ck, st):
+    ck.cited(st, 0)
+    f = st.formula
+    if isinstance(f, Eq) and f.lhs == f.rhs:
+        return
+    if isinstance(f, SeqEq) and f.xs == f.ys:
+        return
+    raise ProofError("EqRefl concludes t = t only")
+
+
+def _fo(ck, st):
+    if not bounded_fo_step(ck.cited(st), st.formula):
+        raise ProofError("conclusion does not follow by quantifier-free "
+                         "first-order reasoning")
+
+
+_RULES = {"premise": _premise, "ExI": _exi, "ExE": _exe, "WNegE": _wnege,
+          "IncPro": _incpro, "IncTrs": _inctrs, "IncCmp": _inccmp,
+          "IndE": _inde, "AndI": _andi, "AndE": _ande, "OrI": _ori,
+          "EqRefl": _eqrefl, "FO": _fo}
 
 
 def _seq_eq(xs, ys):
@@ -452,27 +427,19 @@ def _cmp_match(alpha, concl, pairs):
 def bounded_fo_step(premises, conclusion, atom_cap=16):
     """premises |= conclusion for quantifier-free first-order formulas over
     equality and relation symbols.  Complete: truth assignments over the
-    distinct atomic formulas are enumerated and filtered for realizability
-    by congruence closure."""
-    prems = [expand_sugar(p) for p in premises]
-    concl = expand_sugar(conclusion)
-    for f in prems + [concl]:
-        if not is_quantifier_free_fo(f):
-            raise ProofError("the FO rule handles quantifier-free formulas only")
-    keys = []
-    seen = set()
-    for f in prems + [concl]:
-        for k in _atom_keys(f):
-            if k not in seen:
-                seen.add(k)
-                keys.append(k)
+    distinct literals are enumerated and filtered for realizability by
+    congruence closure."""
+    # every formula is expanded before any is compiled, so that an error of
+    # expand_sugar comes before the refusal of a quantifier
+    formulas = [expand_sugar(f) for f in [*premises, conclusion]]
+    keys = {}  # literal key -> its position in a truth assignment
+    *prems, concl = [_compile(f, keys) for f in formulas]
     if len(keys) > atom_cap:
         raise ProofError("too many distinct atoms (%d) for the FO rule" % len(keys))
+    keys = list(keys)
     for bits in itertools.product((False, True), repeat=len(keys)):
-        asg = dict(zip(keys, bits))
-        if all(_eval_bool(p, asg) for p in prems) and not _eval_bool(concl, asg):
-            if _realizable(asg):
-                return False
+        if all(p(bits) for p in prems) and not concl(bits) and _realizable(keys, bits):
+            return False
     return True
 
 
@@ -480,41 +447,26 @@ def _term_key(t):
     return ("c" if isinstance(t, Const) else "v", t.name)
 
 
-def _atom_keys(phi):
-    if isinstance(phi, (Eq, NegEq)):
-        yield ("eq",) + tuple(sorted((_term_key(phi.lhs), _term_key(phi.rhs))))
-    elif isinstance(phi, (FOAtom, NegFOAtom)):
-        yield ("rel", phi.rel, tuple(_term_key(a) for a in phi.args))
-    elif isinstance(phi, (And, SplitOr)):
-        yield from _atom_keys(phi.l)
-        yield from _atom_keys(phi.r)
-    elif isinstance(phi, (Bot, Top)):
-        return
+def _compile(phi, keys):
+    """phi as a test of a truth-assignment tuple; a literal met for the first
+    time gets the next position in keys."""
+    cls = type(phi)
+    if cls is And or cls is SplitOr:
+        l, r = _compile(phi.l, keys), _compile(phi.r, keys)
+        return (lambda a: l(a) and r(a)) if cls is And else (lambda a: l(a) or r(a))
+    if cls is Top or cls is Bot:
+        return (lambda a: True) if cls is Top else (lambda a: False)
+    if cls is Eq or cls is NegEq:
+        key = ("eq",) + tuple(sorted((_term_key(phi.lhs), _term_key(phi.rhs))))
+    elif cls is FOAtom or cls is NegFOAtom:
+        key = ("rel", phi.rel, tuple(_term_key(a) for a in phi.args))
     else:
-        raise ProofError("unexpected node in FO step: %r" % (phi,))
+        raise ProofError("the FO rule handles quantifier-free formulas only")
+    i = keys.setdefault(key, len(keys))
+    return (lambda a: a[i]) if cls is Eq or cls is FOAtom else (lambda a: not a[i])
 
 
-def _eval_bool(phi, asg):
-    if isinstance(phi, Eq):
-        return asg[next(_atom_keys(phi))]
-    if isinstance(phi, NegEq):
-        return not asg[next(_atom_keys(phi))]
-    if isinstance(phi, FOAtom):
-        return asg[next(_atom_keys(phi))]
-    if isinstance(phi, NegFOAtom):
-        return not asg[next(_atom_keys(phi))]
-    if isinstance(phi, Bot):
-        return False
-    if isinstance(phi, Top):
-        return True
-    if isinstance(phi, And):
-        return _eval_bool(phi.l, asg) and _eval_bool(phi.r, asg)
-    if isinstance(phi, SplitOr):
-        return _eval_bool(phi.l, asg) or _eval_bool(phi.r, asg)
-    raise ProofError("unexpected node in FO step: %r" % (phi,))
-
-
-def _realizable(asg):
+def _realizable(keys, bits):
     parent = {}
 
     def find(t):
@@ -527,14 +479,15 @@ def _realizable(asg):
     def union(a, b):
         parent[find(a)] = find(b)
 
-    for k, v in asg.items():
+    asg = list(zip(keys, bits))
+    for k, v in asg:
         if k[0] == "eq" and v:
             union(k[1], k[2])
-    for k, v in asg.items():
+    for k, v in asg:
         if k[0] == "eq" and not v and find(k[1]) == find(k[2]):
             return False
     rels = {}
-    for k, v in asg.items():
+    for k, v in asg:
         if k[0] == "rel":
             sig = (k[1], tuple(find(t) for t in k[2]))
             if sig in rels and rels[sig] != v:

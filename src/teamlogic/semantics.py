@@ -39,7 +39,7 @@ import operator
 from .formula import (And, Bot, BoolOr, Const, Dep, Eq, Exists, Exists1,
                       FOAtom, Forall, Forall1, Implies, Inc, Ind, NegEq,
                       NegFOAtom, SeqEq, SeqNeq, SplitOr, Top, Var, WNeg, Gen,
-                      free_vars, is_first_order)
+                      exists_prefix, free_vars, is_first_order)
 from .team import Team, duplicate, set_var
 
 
@@ -503,14 +503,10 @@ def _collect_block(phi, team_vars):
     """Gather E x1 ... E xn (conjunction), hoisting nested fresh existentials
     out of conjuncts.  Returns (bound variable names, conjunct list) or None
     if the binder pattern is not a clean block."""
-    bound = []
-    body = phi
-    while isinstance(body, Exists):
-        name = body.v.name
-        if name in bound:
-            return None
-        bound.append(name)
-        body = body.body
+    vs, body = exists_prefix(phi)
+    bound = [v.name for v in vs]
+    if len(set(bound)) != len(bound):
+        return None
 
     conjuncts = _flatten_and(body)
     changed = True
@@ -518,11 +514,8 @@ def _collect_block(phi, team_vars):
         changed = False
         for i, c in enumerate(conjuncts):
             if isinstance(c, Exists):
-                inner_bound = []
-                inner = c
-                while isinstance(inner, Exists):
-                    inner_bound.append(inner.v.name)
-                    inner = inner.body
+                inner_vs, inner = exists_prefix(c)
+                inner_bound = [v.name for v in inner_vs]
                 others = conjuncts[:i] + conjuncts[i + 1:]
                 used = set(bound) | set(team_vars)
                 for o in others:

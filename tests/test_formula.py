@@ -12,9 +12,9 @@ from teamlogic.formula import (_FIRST_ORDER, SHAPES, And, Bot, BoolOr, Const,
                                NegEq, NegFOAtom, NotFirstOrderError, SeqEq,
                                SeqNeq, SplitOr, SubstitutionError, Top, Var,
                                WNeg, alpha_equal,
-                               children, expand_sugar, fo_negate, free_vars,
-                               fresh_var, is_first_order,
-                               is_quantifier_free_fo, rebuild,
+                               children, exists_block, exists_prefix,
+                               expand_sugar, fo_negate, free_vars,
+                               fresh_var, is_first_order, rebuild,
                                sorted_free_vars, substitute, terms)
 
 x, y, z = Var("x"), Var("y"), Var("z")
@@ -65,11 +65,6 @@ def test_is_first_order():
     assert is_first_order(Forall(x, SplitOr(Eq(x, y), NegFOAtom("P", (x,)))))
     assert not is_first_order(Dep((x,), (y,)))
     assert not is_first_order(And(Eq(x, y), Inc((x,), (y,))))
-
-
-def test_is_quantifier_free_fo():
-    assert is_quantifier_free_fo(And(Eq(x, y), Top()))
-    assert not is_quantifier_free_fo(Exists(x, Eq(x, y)))
 
 
 def test_fo_negate_literals():
@@ -242,3 +237,12 @@ def test_alpha_equal_is_renaming_of_bound_variables(seed):
     for v in free_vars(phi):
         changed = substitute(psi, {v: Var("free")})
         assert not alpha_equal(phi, changed) and not alpha_equal(changed, phi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.lists(st.sampled_from([x, y, z]), max_size=3))
+def test_exists_prefix_inverts_exists_block(seed, vs):
+    phi = exists_block(vs, gen_full(random.Random(seed)))
+    prefix, body = exists_prefix(phi)
+    assert exists_block(prefix, body) == phi
+    assert prefix[:len(vs)] == tuple(vs) and not isinstance(body, Exists)

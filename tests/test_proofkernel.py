@@ -12,6 +12,7 @@ from teamlogic.genatom import register_builtin_atoms
 from teamlogic.model import Model
 from teamlogic.parser import parse_formula
 from teamlogic.negation import wneg
+from teamlogic import proofkernel
 from teamlogic.proofkernel import (ProofError, bounded_fo_step, check_proof,
                                    close_formula, parse_proof)
 from teamlogic.semantics import eval_single
@@ -32,6 +33,178 @@ def test_corpus_is_accepted():
         with open(p) as fh:
             v = check_proof(parse_proof(fh.read()))
         assert v, "%s: %r" % (os.path.basename(p), v)
+
+
+# 17 distinct equalities v0 = v1, ..., v16 = v17, one past the FO rule's cap
+_FO_17_ATOMS = ("".join("%d. v%d = v%d ; premise\n" % (i + 1, i, i + 1) for i in range(17))
+                + "18. bot ; FO %s\n" % " ".join(map(str, range(1, 18))))
+
+# Every refusal a script can reach: (script, step, reason), where step None
+# means parse_proof refuses the script with reason.
+REJECTIONS = [
+    pytest.param('assume x = y\nassume y = x\n3. x = x ; EqRefl\nqed 1\n',
+                 None, 'qed 1 does not close the innermost subproof', id='qed_mismatch'),
+    pytest.param('assume x = y\n2. x = x ; EqRefl\nqed\n',
+                 None, "malformed qed line: 'qed'", id='qed_malformed'),
+    pytest.param('assume x = y\n2. x = x ; EqRefl\n',
+                 None, 'unclosed subproof 1', id='unclosed'),
+    pytest.param('assume x = y\nqed 1\n2. x = x ; EqRefl\n',
+                 None, 'subproof 1 is empty', id='empty_subproof'),
+    pytest.param('1. x = x\n',
+                 None, 'missing justification on step 1', id='no_justification'),
+    pytest.param('1. x = x ; EqRefl\n3. x = x ; EqRefl\n',
+                 None, 'step 3 out of sequence (expected 2)', id='out_of_sequence'),
+    pytest.param('x = x ; EqRefl\n',
+                 None, "missing step number: 'x = x ; EqRefl'", id='no_number'),
+    pytest.param('1. x = x ; \n',
+                 None, 'empty justification on step 1', id='empty_justification'),
+    pytest.param('assume x = y\n2. x = x ; EqRefl\nqed 1\n',
+                 None, 'no conclusion at depth 0', id='no_conclusion'),
+    pytest.param('1. x = x ; Frobnicate\n',
+                 1, "unknown rule 'Frobnicate'", id='unknown_rule'),
+    pytest.param('1. x = x ; AndE 2\n2. x = x ; EqRefl\n',
+                 1, 'citation of line 2 is out of range', id='cite_forward'),
+    pytest.param('1. x = x ; AndE 7\n',
+                 1, 'citation of line 7 is out of range', id='cite_missing'),
+    pytest.param('assume x = y\n2. x = x ; EqRefl\nqed 1\n3. x = y ; AndE 1\n',
+                 3, 'line 1 is an assumption of a closed subproof', id='cite_closed_assumption'),
+    pytest.param('assume x = y\n2. (x = y) /\\ (x = y) ; AndI 1 1\nqed 1\n3. x = y ; AndE 2\n',
+                 3, 'line 2 is not in scope at line 3', id='cite_out_of_scope'),
+    pytest.param('1. E z. inc(z ; y) ; premise\n2. E z. inc(z ; y) ; ExE 1 5\n',
+                 2, 'citation of subproof 5 is out of range', id='subproof_out_of_range'),
+    pytest.param('1. E z. inc(z ; y) ; premise\n2. x = x ; EqRefl\n3. E z. inc(z ; y) ; ExE 1 2\n',
+                 3, 'citation of subproof 2 is out of range', id='subproof_not_assume'),
+    pytest.param('1. E z. inc(z ; y) ; premise\nassume x = x\nassume inc(w ; y)\n4. E z. inc(z ; y) ; ExI 3\nqed 3\n5. x = x ; EqRefl\nqed 2\n6. E z. inc(z ; y) ; ExE 1 3\n',
+                 6, 'subproof 3 is not in scope at line 6', id='subproof_out_of_scope'),
+    pytest.param('assume x = y\n2. y = x ; premise\nqed 1\n3. x = x ; EqRefl\n',
+                 2, 'premises must be stated at depth 0', id='premise_nested'),
+    pytest.param('1. x = x ; EqRefl\n2. x = y ; premise 1\n',
+                 2, 'premise takes no citations', id='premise_cites'),
+    pytest.param('1. x = x ; EqRefl\n2. E z. z = z ; ExI 1 1\n',
+                 2, 'rule ExI expects 1 citations, got 2', id='exi_arity'),
+    pytest.param('1. x = x ; EqRefl\n2. x = x ; ExI 1\n',
+                 2, 'ExI conclusion must be existential', id='exi_not_existential'),
+    pytest.param('1. x = x ; EqRefl\n2. E z. z = y ; ExI 1\n',
+                 2, 'cited formula is not an instance of the ExI body', id='exi_not_instance'),
+    pytest.param('1. E z. inc(z ; y) ; premise\n2. inc(z ; y) ; ExE 1\n',
+                 2, 'ExE cites the existential line and a subproof', id='exe_arity'),
+    pytest.param('1. E z. inc(z ; y) ; premise\nassume inc(w ; x)\n3. E z. inc(z ; x) ; ExI 2\nqed 2\n4. E z. inc(z ; x) ; ExE 1 2\n',
+                 4, 'assumption does not match the existential body', id='exe_no_match'),
+    pytest.param('1. E z. E u. inc(z,u ; y,y) ; premise\nassume inc(w,w ; y,y)\n3. E z. inc(z,z ; y,y) ; ExI 2\nqed 2\n4. E z. inc(z,z ; y,y) ; ExE 1 2\n',
+                 4, 'eigenvariables must be distinct', id='exe_eigen_not_distinct'),
+    pytest.param('1. E z. inc(z ; y) ; premise\nassume inc(w ; y)\n3. inc(w ; y) /\\ inc(w ; y) ; AndI 2 2\nqed 2\n4. inc(w ; y) /\\ inc(w ; y) ; ExE 1 2\n',
+                 4, 'eigenvariable occurs free in the conclusion', id='exe_eigen_in_conclusion'),
+    pytest.param('1. E z. inc(z ; w) ; premise\nassume inc(w ; w)\n3. E z. inc(z ; z) ; ExI 2\nqed 2\n4. E z. inc(z ; z) ; ExE 1 2\n',
+                 4, 'eigenvariable occurs free in the cited formula', id='exe_eigen_in_cited'),
+    pytest.param('assume inc(w ; y)\n2. E z. inc(z ; y) ; ExI 1\nassume inc(w ; y)\n4. E z. inc(z ; y) ; ExI 3\nqed 3\n5. E z. inc(z ; y) ; ExE 2 3\nqed 1\n6. x = x ; EqRefl\n',
+                 5, 'eigenvariable occurs free in an open assumption', id='exe_eigen_in_open_assumption'),
+    pytest.param('1. E z. inc(z ; y) ; premise\nassume inc(w ; y)\n3. E z. inc(z ; y) ; ExI 2\nqed 2\n4. E u. inc(u ; x) ; ExE 1 2\n',
+                 4, "conclusion differs from the subproof's last formula", id='exe_conclusion_differs'),
+    pytest.param('assume x != x\n2. bot ; FO 1\nqed 1\n3. x = x ; WNegE 1 1\n',
+                 3, 'WNegE cites one subproof', id='wnege_arity'),
+    pytest.param('assume x != x\n2. x != x ; FO 1\nqed 1\n3. =(x ; y) ; WNegE 1\n',
+                 3, 'the WNegE subproof must end in bot', id='wnege_no_bot'),
+    pytest.param('assume x != x\n2. bot ; FO 1\nqed 1\n3. E z. =(z ; y) ; WNegE 1\n',
+                 3, 'formula outside the negatable fragment: offending subformula Exists(v=Var(z), body=Dep(determiners=(Var(z),), dependent=(Var(y),)))', id='wnege_not_negatable'),
+    pytest.param('assume x != x\n2. bot ; FO 1\nqed 1\n3. =(x ; y) ; WNegE 1\n',
+                 3, 'assumption is not the weak negation of the goal', id='wnege_wrong_assumption'),
+    pytest.param('1. x = y ; premise\n2. inc(x ; y) ; IncPro 1\n',
+                 2, 'IncPro relates two inclusion atoms', id='incpro_not_inc'),
+    pytest.param('1. inc(a,b ; x,y) ; premise\n2. inc(a,b ; y,x) ; IncPro 1\n',
+                 2, 'column pair (a, y) does not occur in the premise', id='incpro_pair_missing'),
+    pytest.param('1. inc(x ; y) ; premise\n2. x = y ; premise\n3. inc(x ; y) ; IncTrs 1 2\n',
+                 3, 'IncTrs relates three inclusion atoms', id='inctrs_not_inc'),
+    pytest.param('1. inc(x ; y) ; premise\n2. inc(z ; w) ; premise\n3. inc(x ; w) ; IncTrs 1 2\n',
+                 3, 'middle sequences do not match', id='inctrs_middle'),
+    pytest.param('1. inc(x ; y) ; premise\n2. inc(y ; w) ; premise\n3. inc(x ; y) ; IncTrs 1 2\n',
+                 3, 'conclusion does not chain the two premises', id='inctrs_chain'),
+    pytest.param('1. x = y ; premise\n2. x = y ; premise\n3. x = y ; IncCmp 1 2\n',
+                 3, 'the first IncCmp premise must be an inclusion atom', id='inccmp_not_inc'),
+    pytest.param('1. inc(a ; x) ; premise\n2. x = y ; premise\n3. x = y ; IncCmp 1 2\n',
+                 3, 'conclusion is not a compression instance of the premise', id='inccmp_not_instance'),
+    pytest.param('1. x = y ; premise\n2. inc(w1 ; x) ; premise\n3. inc(w2 ; x) ; premise\n4. x = x ; IndE 1 2 3\n',
+                 4, 'IndE needs an independence (or dependence) atom', id='inde_not_ind'),
+    pytest.param('1. ind(x ;; y) ; premise\n2. x = y ; premise\n3. inc(w2,u2 ; x,y) ; premise\n4. x = x ; IndE 1 2 3\n',
+                 4, 'IndE needs two inclusion premises', id='inde_not_inc'),
+    pytest.param('1. ind(x ;; y) ; premise\n2. inc(w1,u1 ; x,y) ; premise\n3. inc(w2,u2 ; y,x) ; premise\n4. x = x ; IndE 1 2 3\n',
+                 4, 'the two inclusion premises must share their right side', id='inde_rhs_differ'),
+    pytest.param('1. ind(x ;; y) ; premise\n2. inc(w1,u1 ; y,x) ; premise\n3. inc(w2,u2 ; y,x) ; premise\n4. x = x ; IndE 1 2 3\n',
+                 4, "inclusion right side must start with the atom's variables in x,y,z order", id='inde_rhs_order'),
+    pytest.param('1. ind(x ;; y) ; premise\n2. inc(w1,u1 ; x,y) ; premise\n3. inc(w2,u2 ; x,y) ; premise\n4. E p. (inc(p,p ; x,y) /\\ (p p = w1 u2)) ; IndE 1 2 3\n',
+                 4, 'IndE conclusion must bind 2 fresh variables', id='inde_too_few_binders'),
+    pytest.param('1. ind(x ;; y) ; premise\n2. inc(w1,u1 ; x,y) ; premise\n3. inc(w2,u2 ; x,y) ; premise\n4. E p. E p. (inc(p,p ; x,y) /\\ (p p = w1 u2)) ; IndE 1 2 3\n',
+                 4, 'IndE bound variables must be distinct', id='inde_binders_repeat'),
+    pytest.param('1. ind(x ;; y) ; premise\n2. inc(w1,u1 ; x,y) ; premise\n3. inc(w2,u2 ; x,y) ; premise\n4. E w1. E q. (inc(w1,q ; x,y) /\\ (w1 q = w1 u2)) ; IndE 1 2 3\n',
+                 4, 'IndE bound variables must be fresh', id='inde_binders_not_fresh'),
+    pytest.param('1. ind(x ;; y) ; premise\n2. inc(w1,u1 ; x,y) ; premise\n3. inc(w2,u2 ; x,y) ; premise\n4. E p. E q. (inc(p,q ; x,y) /\\ (p q = w2 u1)) ; IndE 1 2 3\n',
+                 4, 'IndE conclusion has the wrong shape', id='inde_wrong_shape'),
+    pytest.param('1. =(x ; y) ; premise\n2. inc(a,b,c ; y,x,y) ; premise\n3. inc(d,e,f ; y,x,y) ; premise\n4. x = x ; IndE 1 2 3\n',
+                 4, "inclusion right side must start with the atom's variables in x,y,z order", id='inde_dep_shape'),
+    pytest.param('1. x = x ; EqRefl\n2. y = y ; EqRefl\n3. (y = y) /\\ (x = x) ; AndI 1 2\n',
+                 3, 'AndI conclusion must conjoin the cited lines in order', id='andi_order'),
+    pytest.param('1. (x = x) /\\ (y = y) ; premise\n2. z = z ; AndE 1\n',
+                 2, 'AndE conclusion must be a conjunct of the cited line', id='ande_not_conjunct'),
+    pytest.param('1. x = x ; EqRefl\n2. (y = y) \\/ (z = z) ; OrI 1\n',
+                 2, 'OrI conclusion must have the cited line as a disjunct', id='ori_not_disjunct'),
+    pytest.param('1. x = x ; EqRefl\n2. y = y ; EqRefl 1\n',
+                 2, 'rule EqRefl expects 0 citations, got 1', id='eqrefl_cites'),
+    pytest.param('1. x = y ; EqRefl\n',
+                 1, 'EqRefl concludes t = t only', id='eqrefl_not_refl'),
+    pytest.param('1. x = y ; premise\n2. x != y ; FO 1\n',
+                 2, 'conclusion does not follow by quantifier-free first-order reasoning', id='fo_not_entailed'),
+    pytest.param('1. E z. z = y ; premise\n2. bot ; FO 1\n',
+                 2, 'the FO rule handles quantifier-free formulas only', id='fo_quantifier'),
+    pytest.param(_FO_17_ATOMS,
+                 18, 'too many distinct atoms (17) for the FO rule', id='fo_too_many_atoms'),
+    pytest.param('1. =(x ; y) ; premise\n2. bot ; FO 1\n',
+                 2, 'the FO rule handles quantifier-free formulas only', id='fo_non_fo_atom'),
+]
+
+
+@pytest.mark.parametrize("text, step, reason", REJECTIONS)
+def test_rejections_name_the_step_and_the_reason(text, step, reason):
+    if step is None:
+        with pytest.raises(ProofError) as e:
+            parse_proof(text)
+        assert str(e.value) == reason
+    else:
+        v = check_proof(parse_proof(text), registry=register_builtin_atoms())
+        assert (v.accepted, v.step, v.reason) == (False, step, reason)
+
+
+@pytest.mark.parametrize("cite", ["a", "1.5"])
+def test_parse_refuses_a_citation_that_is_not_a_line_number(cite):
+    with pytest.raises(ProofError) as e:
+        parse_proof("1. x = x ; EqRefl\n2. x = x ; AndE %s\n" % cite)
+    assert str(e.value) == "step 2 cites %r, which is not a line number" % cite
+
+
+def test_an_open_subproof_cannot_be_cited():
+    # citing the enclosing subproof would let its last line justify itself
+    v = check_text("1. E z. inc(z ; y) ; premise\n"
+                   "assume inc(w ; y)\n"
+                   "3. bot ; ExE 1 2\n"
+                   "qed 2\n"
+                   "4. bot ; ExE 1 2\n")
+    assert (v.accepted, v.step, v.reason) == (False, 3, "subproof 2 is still open")
+
+
+def test_assume_is_not_a_rule():
+    with pytest.raises(ProofError, match="assume opens a subproof"):
+        parse_proof("1. bot ; assume\n")
+
+
+def test_exi_skips_a_candidate_that_cannot_be_substituted():
+    # the constant c cannot stand in the inclusion atom; the variable w can
+    script = parse_proof("1. P(c) /\\ inc(w ; y) ; premise\n"
+                         "2. E z. (P(c) /\\ inc(z ; y)) ; ExI 1\n", constants=("c",))
+    assert check_proof(script)
+
+
+def test_the_documented_rules_are_the_rule_table():
+    doc = proofkernel.__doc__
+    listed = doc.split("per rule name:", 1)[1].split("\n\n")[1]
+    assert set(listed.replace(",", " ").split()) == set(proofkernel._RULES)
 
 
 def test_parse_enforces_sequential_numbering():
