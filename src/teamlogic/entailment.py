@@ -1,6 +1,12 @@
 """Bounded semantic entailment: exhaust finite models and teams looking for
 a counterexample.  A positive answer is only ever "valid up to the bound";
 a counterexample is conclusive and is reported with its witness.
+
+A team is a counterexample when it passes every test: each hypothesis must
+hold on it and the conclusion must fail.  The search tries first the test
+that last ruled a team out (move-to-front), which changes only how many
+evaluations a team costs: the models and teams visited, their order, the
+counts and the witness are those of testing in the given order.
 """
 
 import copy
@@ -8,7 +14,7 @@ import itertools
 
 from .formula import Const, FOAtom, Gen, NegFOAtom, free_vars, subformulas, terms
 from .model import Signature, enumerate_models
-from .semantics import EvalBudget, Evaluator
+from .semantics import EvalBudget, EvalError, Evaluator
 from .team import all_teams, sample_small_teams, sample_teams
 
 VALID_UP_TO_BOUND = "ValidUpToBound"
@@ -47,6 +53,15 @@ def mentioned_signature(formulas, registry=None):
     return Signature(rels, consts)
 
 
+def _ruling_out(ev, X, tests):
+    """Position in tests of the first (formula, wanted) pair whose value on
+    X is not the wanted one, or None when X passes them all."""
+    for k, (phi, wanted) in enumerate(tests):
+        if ev(X, phi) != wanted:
+            return k
+    return None
+
+
 def entails_bounded(hypotheses, conclusion, max_domain=2, team_cap=16,
                     samples=0, seed=0, max_rows=None, registry=None,
                     budget=None):
@@ -61,11 +76,26 @@ def entails_bounded(hypotheses, conclusion, max_domain=2, team_cap=16,
 
     `searched` counts the models and teams tried, in total and, under
     "by_size", per domain size, where "sampled" says whether that size's
-    teams were sampled rather than enumerated."""
+    teams were sampled rather than enumerated.
+
+    Each team is tested against the hypotheses, each wanted to hold, and
+    then the conclusion, wanted to fail; the first test whose value differs
+    from the wanted one rules the team out, and a team that passes every
+    test is the witness.  The tests start in that given order, and a test
+    that rules a team out moves to the front for the next team, for the
+    rest of this call.  Whether a team passes every test does not depend
+    on the order, so the verdict, the witness and `searched` do not either.
+    If an evaluation raises EvalError (BudgetExceeded included) while the
+    tests are out of the given order, the team is tested again in the given
+    order: the search raises only on a team where the given order raises
+    too, and it may answer where the given order would have given up,
+    since another test ruled the team out first."""
     if samples < 0:
         raise ValueError("samples must be 0 (the default) or positive, got %d"
                          % samples)
     formulas = list(hypotheses) + [conclusion]
+    given = [(h, True) for h in formulas[:-1]] + [(conclusion, False)]
+    order = given[:]
     sig = mentioned_signature(formulas, registry)
     variables = sorted({v.name for phi in formulas for v in free_vars(phi)})
     budget = budget or EvalBudget()
@@ -101,13 +131,19 @@ def entails_bounded(hypotheses, conclusion, max_domain=2, team_cap=16,
         # the shared tee iterator is never advanced: a copy of it starts at
         # the first team and shares the buffer of the teams drawn so far
         for n, X in enumerate(copy.copy(teams), 1):
-            for h in hypotheses:
-                if not ev(X, h):
-                    break
-            else:
-                if not ev(X, conclusion):
-                    witness = (model, X)
-                    break
+            try:
+                k = _ruling_out(ev, X, order)
+            except EvalError:
+                if order == given:
+                    raise
+                k = _ruling_out(ev, X, given)
+                if k is not None:
+                    k = order.index(given[k])
+            if k is None:
+                witness = (model, X)
+                break
+            if k:
+                order.insert(0, order.pop(k))
         n_teams += n
         size["teams"] += n
         if witness is not None:

@@ -95,8 +95,8 @@ def parse_proof(text, constants=(), atoms=None):
             stack.append(num)
             steps[num] = Step(num, phi, "assume", (), tuple(stack))
             continue
-        if line.startswith("qed"):
-            parts = line.split()
+        parts = line.split()
+        if parts[0] == "qed":
             if len(parts) != 2 or not parts[1].isdecimal():
                 raise ProofError("malformed qed line: %r" % raw)
             k = int(parts[1])

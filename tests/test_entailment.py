@@ -6,7 +6,7 @@ from teamlogic.formula import (Const, Dep, Eq, Exists, FOAtom, Inc, Ind, Var,
                                free_vars)
 from teamlogic.genatom import register_builtin_atoms
 from teamlogic.parser import parse_formula
-from teamlogic.semantics import eval_formula
+from teamlogic.semantics import EvalBudget, eval_formula
 
 x, y, z = Var("x"), Var("y"), Var("z")
 
@@ -232,6 +232,30 @@ def _record_evals(monkeypatch):
     return calls
 
 
+def _move_to_front_loop(hypotheses, conclusion, max_domain, team_cap, samples, seed):
+    """The documented order rule as a plain loop, one eval_formula (one
+    Evaluator.eval call) per test: the hypotheses, wanted to hold, then the
+    conclusion, wanted to fail, in that order at first; the test that rules
+    a team out moves to the front for the next team."""
+    from teamlogic.model import enumerate_models
+    from teamlogic.team import all_teams, sample_teams
+    formulas = hypotheses + [conclusion]
+    variables = sorted({v.name for phi in formulas for v in free_vars(phi)})
+    order = [(h, True) for h in hypotheses] + [(conclusion, False)]
+    for model in enumerate_models(mentioned_signature(formulas), max_domain):
+        if len(model.domain) ** len(variables) <= team_cap:
+            teams = all_teams(model, variables, cap=team_cap)
+        else:
+            teams = sample_teams(model, variables, samples, seed)
+        for X in teams:
+            for k, (phi, wanted) in enumerate(order):
+                if eval_formula(model, X, phi) != wanted:
+                    order.insert(0, order.pop(k))
+                    break
+            else:
+                return
+
+
 @pytest.mark.parametrize("hyps, concl, team_cap", [
     (["=(x;y)", "=(y;z)"], "=(x;z)", 16),
     (["=(x;y)"], "=(y;x)", 16),
@@ -244,9 +268,58 @@ def test_the_search_evaluates_as_the_plain_loop_does(monkeypatch, hyps, concl, t
     entails_bounded(hs, c, max_domain=2, team_cap=team_cap, samples=30, seed=2)
     searched = calls[:]
     del calls[:]
-    # _reference asks eval_formula, one Evaluator.eval call per formula
-    _reference(hs, c, 2, team_cap, 30, 2)
+    _move_to_front_loop(hs, c, 2, team_cap, 30, 2)
     assert searched == calls and len(calls) > 2
+
+
+# inc(x;y) \/ inc(x;y) splits a team by the defining clause, which _TIGHT
+# refuses on every team of two rows or more; on one row it holds iff x = y.
+# At domain size 2 it rules out the team x = e1, y = e2 and so moves to the
+# front, where the next team, of two rows, reaches it out of the given order.
+_SPLIT, _ONE_ROW = "inc(x;y) \\/ inc(x;y)", "=(;x) /\\ =(;y)"
+_TIGHT = EvalBudget(max_split_rows=1)
+
+
+def _count_raises(monkeypatch):
+    """Record the BudgetExceeded that Evaluator.eval raises."""
+    from teamlogic.semantics import BudgetExceeded, Evaluator
+    raised = []
+    real = Evaluator.eval
+
+    def counting(self, X, phi):
+        try:
+            return real(self, X, phi)
+        except BudgetExceeded as e:
+            raised.append((X, str(e)))
+            raise
+    monkeypatch.setattr(Evaluator, "eval", counting)
+    return raised
+
+
+def test_a_test_before_the_raising_one_in_the_given_order_answers(monkeypatch):
+    # the given order asks =(;x) /\ =(;y) first, which rules out every
+    # team of two rows or more before the split is asked
+    hs, c = [parse_formula(_ONE_ROW), parse_formula(_SPLIT)], parse_formula("x = y")
+    raised = _count_raises(monkeypatch)
+    v = entails_bounded(hs, c, max_domain=2, team_cap=16, budget=_TIGHT)
+    assert raised and all(len(X.rows) >= 2 for X, _ in raised)
+    status, witness, models, teams, by_size = _reference(hs, c, 2, 16, 0, 0)
+    assert (v.status, v.witness) == (status, witness)
+    assert (v.searched["models"], v.searched["teams"]) == (models, teams)
+    assert v.searched["by_size"] == by_size
+
+
+def test_the_search_raises_where_the_given_order_raises(monkeypatch):
+    from teamlogic.semantics import BudgetExceeded
+    # the split comes first in the given order too; on the first two-row
+    # team the conclusion stands ahead of =(x;y), out of the given order
+    hs, c = [parse_formula(_SPLIT), parse_formula("=(x;y)")], parse_formula("x = y")
+    raised = _count_raises(monkeypatch)
+    with pytest.raises(BudgetExceeded) as e:
+        entails_bounded(hs, c, max_domain=2, team_cap=16, budget=_TIGHT)
+    # the split raised out of the given order, then again in it on that team
+    (X, first), (Y, second) = raised
+    assert X == Y and first == second == str(e.value)
 
 
 def _cli_search(hyps, concl):

@@ -46,6 +46,8 @@ REJECTIONS = [
                  None, 'qed 1 does not close the innermost subproof', id='qed_mismatch'),
     pytest.param('assume x = y\n2. x = x ; EqRefl\nqed\n',
                  None, "malformed qed line: 'qed'", id='qed_malformed'),
+    pytest.param('assume x = y\n2. x = x ; EqRefl\nqedzzz 1\n3. x = x ; EqRefl\n',
+                 None, "missing step number: 'qedzzz 1'", id='qed_prefix'),
     pytest.param('assume x = y\n2. x = x ; EqRefl\n',
                  None, 'unclosed subproof 1', id='unclosed'),
     pytest.param('assume x = y\nqed 1\n2. x = x ; EqRefl\n',
