@@ -1,6 +1,8 @@
 """Translation of team-semantics formulas into existential second-order
 sentences over a relation symbol carrying the team, plus a brute-force
-checker for such sentences.
+checker for such sentences, which compiles the first-order matrix once and
+sets each interpretation of a second-order symbol in place, with
+eval_single on the expanded model as its oracle.
 
 The translation threads a "member" callback: given terms aligned with the
 sorted free variables of the current subformula, it returns a first-order
@@ -18,7 +20,7 @@ from .formula import (And, BoolOr, Eq, Exists, Exists1, FOAtom, Forall,
                       fresh_var, is_first_order, rebuild, sorted_free_vars,
                       terms)
 from .genatom import atom_def_of, eso_atom_matrix
-from .model import expand_with_relation
+from .model import ModelError, expand_with_relation
 from .team import rel as team_rel
 
 
@@ -238,8 +240,15 @@ def _add_parameter(phi, names, t):
 
 def eval_eso(model, psi, max_combos=1 << 22):
     """Truth of an existential second-order sentence by enumerating every
-    interpretation of the second-order variables."""
-    from .semantics import eval_single
+    interpretation of the second-order variables.
+
+    The matrix is compiled once (semantics._SingleCompiler), and each
+    second-order symbol reads one cell, which the enumeration sets in place:
+    the first symbol outermost, its interpretations in increasing mask
+    order.  eval_single on the model that expand_with_relation extends by
+    each interpretation is the oracle: the same verdict, and the same
+    errors in the same order."""
+    from .semantics import _SingleCompiler
     total = 1
     spaces = []
     for sym, arity in psi.so_vars:
@@ -250,19 +259,24 @@ def eval_eso(model, psi, max_combos=1 << 22):
                 "%d second-order interpretations exceed the cap of %d"
                 % (total, max_combos))
         spaces.append(sorted(itertools.product(model.domain, repeat=arity)))
+    symbols = [sym for sym, _ in psi.so_vars]
+    for i, sym in enumerate(symbols):
+        if sym in model.rels or sym in model.consts or sym in symbols[:i]:
+            raise ModelError("symbol %s already interpreted" % sym)  # as expand_with_relation
+    compiler = _SingleCompiler(model, relations=symbols)
+    run, env = compiler.formula(psi.matrix, compiler.scope), compiler.env
 
-    def rec(i, m):
-        if i == len(psi.so_vars):
-            return eval_single(m, {}, psi.matrix)
-        sym, _ = psi.so_vars[i]
+    def rec(i):
+        if i == len(spaces):
+            return run()
         space = spaces[i]
         for mask in range(1 << len(space)):
-            interp = [space[j] for j in range(len(space)) if mask >> j & 1]
-            if rec(i + 1, expand_with_relation(m, sym, interp)):
+            env[i] = frozenset([space[j] for j in range(len(space)) if mask >> j & 1])
+            if rec(i + 1):
                 return True
         return False
 
-    return rec(0, model)
+    return rec(0)
 
 
 def check_correspondence(model, X, phi, registry=None, budget=None,

@@ -7,8 +7,9 @@ Script format, one step per line ("#" starts a comment):
     qed K
 
 Regular lines carry their (sequential) number K and a justification after
-the LAST ";" on the line; each citation is a line number.  "assume" opens a
-subproof and is numbered automatically; "qed K" closes the innermost
+the LAST ";" on the line; each citation is a line number.  The keywords
+"assume" and "qed" are whole words, followed by any whitespace.  "assume"
+opens a subproof and is numbered automatically; "qed K" closes the innermost
 subproof, which must have been opened by assume line K.  Closed subproofs
 are cited by their assume line's number.  The last line at depth zero is
 the proof's conclusion; lines justified by the rule "premise" form its
@@ -88,14 +89,17 @@ def parse_proof(text, constants=(), atoms=None):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("assume "):
-            phi = parse_formula(line[len("assume "):], constants, atoms,
+        parts = line.split()
+        if parts[0] == "assume":
+            if len(parts) == 1:
+                raise ProofError("assume without a formula: %r" % raw)
+            # the formula follows the keyword and one whitespace character
+            phi = parse_formula(line[len("assume") + 1:], constants, atoms,
                                 expand=False, allow_reserved=True)
             num = len(steps) + 1
             stack.append(num)
             steps[num] = Step(num, phi, "assume", (), tuple(stack))
             continue
-        parts = line.split()
         if parts[0] == "qed":
             if len(parts) != 2 or not parts[1].isdecimal():
                 raise ProofError("malformed qed line: %r" % raw)

@@ -31,8 +31,12 @@ formula without running a clause.  First-order subformulas are evaluated
 rowwise (flatness, which the check suites verify independently), each by a
 row test built once per formula and team variables: column lookups for a
 literal over variables, the Tarskian evaluator for anything else.
+
+eval_single, the Tarskian evaluator, has a twin for a formula evaluated
+many times, _SingleCompiler, with one compiled clause per eval_single clause.
 """
 
+import functools
 import itertools
 import operator
 
@@ -114,6 +118,129 @@ _SINGLE = {
     SeqNeq: lambda model, s, phi:
         any(term_value(a, s, model) != term_value(b, s, model)
             for a, b in zip(phi.xs, phi.ys)),
+}
+
+
+class _SingleCompiler:
+    """eval_single's twin for a formula evaluated many times (eval_eso's
+    matrix): formula() turns it once into closures of no arguments with
+    eval_single's value, errors and evaluation order.  Values live in the
+    list self.env: variables[i] in slot i, the set of tuples of relations[k]
+    (symbols the model does not interpret) in slot len(variables) + k, and
+    each quantifier occurrence, constant occurrence and model relation in a
+    slot of its own, so an inner binder of a name cannot overwrite the value
+    an outer one reads.  Model relations and constants are looked up here,
+    once; a missing one, an unassigned variable and a node eval_single
+    refuses become closures that raise eval_single's error when they run."""
+
+    def __init__(self, model, variables=(), relations=()):
+        self.model = model
+        self.env = [None] * (len(variables) + len(relations))
+        self.scope = {v: i for i, v in enumerate(variables)}
+        self.cells = {r: len(variables) + k for k, r in enumerate(relations)}
+
+    def formula(self, phi, scope):
+        """phi compiled, with scope mapping its variables to their slots."""
+        clause = _COMPILED.get(type(phi))
+        if clause is None:
+            return functools.partial(eval_single, self.model, {}, phi)  # raises
+        return clause(self, phi, scope)
+
+    def slot(self, t, scope):
+        """The slot holding t's value, or None where evaluating t raises."""
+        if isinstance(t, Var):
+            return scope.get(t.name)
+        if isinstance(t, Const) and t.name in self.model.consts:
+            self.env.append(self.model.consts[t.name])
+            return len(self.env) - 1
+        return None
+
+    def refusal(self, t):
+        """A closure raising term_value's error for a term without a slot."""
+        return functools.partial(term_value, t, {}, self.model)
+
+    def atom(self, phi, scope):
+        slots = [self.slot(t, scope) for t in phi.args]
+        if None in slots:  # the args are evaluated before the relation
+            return self.refusal(phi.args[slots.index(None)])
+        env, rels = self.env, self.model.rels
+        if phi.rel not in self.cells:
+            if phi.rel not in rels:
+                return functools.partial(self.model.rel, phi.rel)  # raises
+            self.cells[phi.rel] = len(env)
+            env.append(rels[phi.rel])
+        k = self.cells[phi.rel]
+        if len(slots) == 1:
+            i, = slots
+            get = lambda env: (env[i],)
+        else:
+            get = operator.itemgetter(*slots) if slots else lambda env: ()
+        if type(phi) is FOAtom:
+            return lambda: get(env) in env[k]
+        return lambda: get(env) not in env[k]
+
+    def equality(self, phi, scope):
+        i, j = self.slot(phi.lhs, scope), self.slot(phi.rhs, scope)
+        if i is None or j is None:
+            return self.refusal(phi.lhs if i is None else phi.rhs)
+        env = self.env
+        if type(phi) is Eq:
+            return lambda: env[i] == env[j]
+        return lambda: env[i] != env[j]
+
+    def sequence(self, phi, scope):
+        env, pairs, seq_eq = self.env, [], type(phi) is SeqEq
+        rest = lambda: seq_eq  # the verdict when every pair is equal
+        for a, b in zip(phi.xs, phi.ys):
+            i, j = self.slot(a, scope), self.slot(b, scope)
+            if i is None or j is None:  # raises once the pairs before are equal
+                rest = self.refusal(a if i is None else b)
+                break
+            pairs.append((i, j))
+        if seq_eq:
+            return lambda: all(env[i] == env[j] for i, j in pairs) and rest()
+        return lambda: any(env[i] != env[j] for i, j in pairs) or rest()
+
+    def connective(self, phi, scope):
+        if type(phi) is Implies:
+            ante, cons = self.formula(phi.ante, scope), self.formula(phi.cons, scope)
+            return lambda: not ante() or cons()
+        l, r = self.formula(phi.l, scope), self.formula(phi.r, scope)
+        if type(phi) is And:
+            return lambda: l() and r()
+        return lambda: l() or r()
+
+    def quantifier(self, phi, scope):
+        env, domain, i = self.env, self.model.domain, len(self.env)
+        env.append(None)
+        body = self.formula(phi.body, {**scope, phi.v.name: i})
+        if type(phi) is Exists:
+            def run():
+                for a in domain:
+                    env[i] = a
+                    if body():
+                        return True
+                return False
+        else:
+            def run():
+                for a in domain:
+                    env[i] = a
+                    if not body():
+                        return False
+                return True
+        return run
+
+
+# One compiled clause per class of _SINGLE.
+_COMPILED = {
+    FOAtom: _SingleCompiler.atom, NegFOAtom: _SingleCompiler.atom,
+    Eq: _SingleCompiler.equality, NegEq: _SingleCompiler.equality,
+    Bot: lambda c, phi, scope: lambda: False,
+    Top: lambda c, phi, scope: lambda: True,
+    And: _SingleCompiler.connective, SplitOr: _SingleCompiler.connective,
+    Implies: _SingleCompiler.connective,
+    Exists: _SingleCompiler.quantifier, Forall: _SingleCompiler.quantifier,
+    SeqEq: _SingleCompiler.sequence, SeqNeq: _SingleCompiler.sequence,
 }
 
 

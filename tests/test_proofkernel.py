@@ -48,6 +48,8 @@ REJECTIONS = [
                  None, "malformed qed line: 'qed'", id='qed_malformed'),
     pytest.param('assume x = y\n2. x = x ; EqRefl\nqedzzz 1\n3. x = x ; EqRefl\n',
                  None, "missing step number: 'qedzzz 1'", id='qed_prefix'),
+    pytest.param('assume\n2. x = x ; EqRefl\nqed 1\n3. x = x ; EqRefl\n',
+                 None, "assume without a formula: 'assume'", id='assume_bare'),
     pytest.param('assume x = y\n2. x = x ; EqRefl\n',
                  None, 'unclosed subproof 1', id='unclosed'),
     pytest.param('assume x = y\nqed 1\n2. x = x ; EqRefl\n',
@@ -189,6 +191,13 @@ def test_an_open_subproof_cannot_be_cited():
                    "qed 2\n"
                    "4. bot ; ExE 1 2\n")
     assert (v.accepted, v.step, v.reason) == (False, 3, "subproof 2 is still open")
+
+
+@pytest.mark.parametrize("space", [" ", "\t", "  ", " \t"])
+def test_assume_is_a_whole_word_before_any_whitespace(space):
+    script = parse_proof("assume%sx = y\n2. x = x ; EqRefl\nqed\t1\n3. x = x ; EqRefl\n" % space)
+    assert script.steps[1].rule == "assume" and script.steps[1].formula == Eq(x, y)
+    assert check_proof(script)
 
 
 def test_assume_is_not_a_rule():

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle_atoms
-from teamlogic.checks import default_model, gen_downward, gen_fo
+from teamlogic.checks import VARIABLES, default_model, gen_downward, gen_fo
 from teamlogic.formula import (_FIRST_ORDER, SHAPES, And, BoolOr, Bot, Const,
                                Dep, Eq, Exists, Exists1, FOAtom, Forall,
-                               Forall1, Inc, Ind, NegEq, NegFOAtom, SplitOr,
-                               Top, Var, WNeg, free_vars)
-from teamlogic.semantics import (BudgetExceeded, EvalBudget, EvalError,
+                               Forall1, Implies, Inc, Ind, NegEq, NegFOAtom,
+                               SeqEq, SeqNeq, SplitOr, Top, Var, WNeg,
+                               free_vars)
+from teamlogic.semantics import (_COMPILED, _SINGLE, BudgetExceeded,
+                                 EvalBudget, EvalError, _SingleCompiler,
                                  eval_formula, eval_single)
 from teamlogic.model import Model
 from teamlogic.team import Team
@@ -168,7 +170,6 @@ def test_eval_requires_free_vars_in_team():
 
 
 def test_eval_single_handles_sugar():
-    from teamlogic.formula import Implies, SeqEq
     s = {"x": "0", "y": "0"}
     assert eval_single(M, s, Implies(Eq(x, y), Eq(y, x)))
     assert eval_single(M, s, SeqEq((x, y), (y, x)))
@@ -186,6 +187,48 @@ def test_eval_single_decides_exactly_the_first_order_classes(cls):
     else:
         with pytest.raises(EvalError, match="eval_single expects a first-order formula"):
             eval_single(model, s, phi)
+
+
+def test_every_single_class_has_a_compiled_clause():
+    assert set(_COMPILED) == set(_SINGLE)
+
+
+def _outcome(f):
+    """f()'s value, or the class and message of what it raised."""
+    try:
+        return f()
+    except Exception as e:
+        return type(e), str(e)
+
+
+# default_model() interprets no constant; the second model interprets c and
+# the third lacks the relation Q and the constant c
+SINGLE_MODELS = [M, Model(("0", "1"), {"P": [("1",)], "Q": [("0", "1")]}, {"c": "0"}),
+                 Model(("0", "1", "2"), {"P": [("1",), ("2",)]})]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9))
+def test_compiled_single_agrees_with_eval_single(seed):
+    """A gen_fo formula joined with a node of each class gen_fo never draws,
+    compiled once per model and set of assigned variables, under every
+    assignment of those: the same value as eval_single, or the same error."""
+    rng = random.Random(seed)
+    v = lambda: Var(rng.choice(VARIABLES))
+    c = Const("c")
+    extra = rng.choice([Top(), Bot(), Eq(v(), c), FOAtom("Q", (c, v())),
+                        SeqEq((v(), c), (v(), v())), SeqNeq((v(), v()), (c, v()))])
+    phi = rng.choice([And, SplitOr, Implies])(*rng.sample([gen_fo(rng), extra], 2))
+    for model in SINGLE_MODELS:
+        for k in range(len(VARIABLES) + 1):
+            for names in itertools.combinations(VARIABLES, k):
+                compiler = _SingleCompiler(model, names)
+                run = compiler.formula(phi, compiler.scope)
+                for values in itertools.product(model.domain, repeat=k):
+                    compiler.env[:k] = values
+                    s = dict(zip(names, values))
+                    assert _outcome(run) == _outcome(lambda: eval_single(model, s, phi)), \
+                        (phi, model, s)
 
 
 @pytest.mark.parametrize("cls", sorted(SHAPES, key=lambda cls: cls.__name__),
