@@ -2,7 +2,7 @@
 for first-order formulas on single assignments.
 
 Every evaluation path is an entry of one of two tables keyed by type(phi),
-each entry a plain function clause(evaluator, X, phi).  _DEFINING holds the
+each entry a plain function clause(evaluator, plan, X).  _DEFINING holds the
 defining clauses: Tarskian evaluation of each assignment for first-order
 literals, cover enumeration for split disjunction, per-row supplement-
 function search for the existential quantifier, and every clause run on the
@@ -17,20 +17,20 @@ checks this on the literal evaluator), and an existential block over
 first-order / inclusion / unconditional-independence / constancy conjuncts
 goes to a branch-and-delete search whose witnesses are always re-verified.
 
-In front of its table the default mode has three more exact shortcuts.
-Evaluator.eval resolves each formula, once per team variables, to a team
-test that runs a dep/ind/inc clause, a set comparison for P(xs) and !P(xs)
-over team variables (are the xs-projections of the rows a subset of P, or
-disjoint from it?), or another first-order literal's row test on every row,
-without the memo or the empty-team shortcut (each holds on the empty team by
-itself).  The independence clause fails once the sum over its z-classes of
-|x-values| * |y-values| exceeds the number of rows, which a team satisfying
-it never reaches, as each class is then the product of its projections
-(Graedel & Vaananen, Studia Logica 2013).  The empty team satisfies every
-formula without running a clause.  First-order subformulas are evaluated
-rowwise (flatness, which the check suites verify independently), each by a
-row test built once per formula and team variables: column lookups for a
-literal over variables, the Tarskian evaluator for anything else.
+An evaluator keeps one plan per formula and tuple of team variables (see
+_Plan), built when the formula is first visited over them with a nonempty
+team: the formula's path, its memo, and the facts the path needs, each
+built the first time it is needed.  A visit looks the plan up once, hashing
+the formula once.  In the default mode three exact paths need no memo: a dep/ind/inc atom runs its clause on the rows, P(xs) or !P(xs) over
+team variables compares the set P with the rows' projections, and any other
+first-order formula runs its row test on every row (flatness, which the
+check suites verify independently): column lookups for a literal over
+variables, the Tarskian evaluator for the rest.  Each holds on the empty
+team by itself; the other paths answer it without a clause run.  The
+independence clause fails once the sum over its z-classes of |x-values| *
+|y-values| exceeds the number of rows, which a team satisfying it never
+reaches, as each class is then the product of its projections (Graedel &
+Vaananen, Studia Logica 2013).
 
 eval_single, the Tarskian evaluator, has a twin for a formula evaluated
 many times, _SingleCompiler, with one compiled clause per eval_single clause.
@@ -244,15 +244,17 @@ _COMPILED = {
 }
 
 
-def _nonempty_subsets(domain):
-    out = []
-    n = len(domain)
-    for mask in range(1, 1 << n):
-        out.append(tuple(domain[i] for i in range(n) if mask >> i & 1))
-    return out
+class _Plan:
+    """What an evaluator knows about phi over the team variables vars: its
+    path run(evaluator, plan, X); the clause and memo (by the team's rows) of
+    a path that runs a clause; and facts, what the path needs besides the
+    team, built when first needed."""
 
+    __slots__ = ("phi", "vars", "run", "clause", "memo", "facts")
 
-_UNBUILT = object()  # no team test built yet for a (phi, team variables)
+    def __init__(self, phi, variables, run, clause=None, facts=None):
+        self.phi, self.vars, self.run, self.clause, self.facts = phi, variables, run, clause, facts
+        self.memo = None if clause is None else {}
 
 
 class Evaluator:
@@ -262,105 +264,61 @@ class Evaluator:
         self.budget = budget or EvalBudget()
         self.literal = literal
         self._clauses = _DEFINING if literal else _FAST
-        self._memo = {}
-        self._tests = {}  # (phi, team variables) -> see _team_test
-        self._prepared = {}  # (phi, team variables) -> see _prepare
-
-    # -- public ---------------------------------------------------------------
+        self._plans = {}  # (phi, team variables) -> _Plan
 
     def eval(self, X, phi):
         key = (phi, X.vars)
-        test = self._tests.get(key, _UNBUILT)
-        if test is _UNBUILT:
-            test = self._tests[key] = self._team_test(phi, X)
-        return self._eval(X, phi) if test is None else test(X)
+        plan = self._plans.get(key)
+        if plan is None:
+            missing = {v.name for v in free_vars(phi)}.difference(X.vars)
+            if missing:
+                raise EvalError("free variables %s not in team domain" % sorted(missing))
+            plan = self._plans[key] = self._plan(phi, X.vars)
+        return plan.run(self, plan, X)
 
-    def _team_test(self, phi, X):
-        """The test eval runs on every team over X.vars, built once per
-        (phi, X.vars) after the free-variable precondition.  In the default
-        mode a dep/ind/inc atom runs its clause on the rows, P(xs) or !P(xs)
-        over team variables compares the set P with the rows' projections,
-        and another first-order literal runs its row test on every row
-        (flatness); each holds on the empty team by itself, so none needs
-        the memo or the empty-team shortcut.  Anything else gets None and
-        goes through _eval, which decides compound first-order formulas
-        rowwise too (asking is_first_order here would walk every such
-        formula twice, and eval_formula builds a new evaluator for each
-        call).  A test that called self._eval would hold the evaluator in a
-        reference cycle and keep its memo alive until the cycle collector
-        runs."""
-        missing = {v.name for v in free_vars(phi)}.difference(X.vars)
-        if missing:
-            raise EvalError("free variables %s not in team domain" % sorted(missing))
-        if self.literal:
-            return None
-        clause = _ATOM_CLAUSES.get(type(phi))
-        if clause is not None:
-            keys = self._prepare(phi, X)
-            return lambda Y: clause(Y, keys)
-        if type(phi) in _LITERALS:
-            relation = _relation_literal(self.model, phi, X)
-            if relation is not None:
-                # a set comparison that stops at the first failing row
-                get, holds = relation
-                if type(phi) is FOAtom:
-                    return lambda Y: holds.issuperset(map(get, Y.rows))
-                return lambda Y: holds.isdisjoint(map(get, Y.rows))
-            row_test = self._prepare(phi, X)
-            return lambda Y: all(map(row_test, Y.rows))
-        return None
-
-    # -- dispatch -------------------------------------------------------------
-
-    def _eval(self, X, phi):
-        if X.is_empty() and not self.literal:
-            return True  # empty team property; literal mode runs the clauses
-        key = (phi, X)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        out = self._eval_uncached(X, phi)
-        self._memo[key] = out
-        return out
-
-    def _eval_uncached(self, X, phi):
-        if not self.literal and is_first_order(phi):
-            return all(map(self._prepare(phi, X), X.rows))  # flatness
-        return self._clauses[type(phi)](self, X, phi)
-
-    def _prepare(self, phi, X):
-        """What evaluating phi on X needs that does not depend on its rows,
-        built once per (phi, X.vars): for a first-order phi a row test
-        (flatness: phi holds on a team iff it holds on every row), for a
-        dep/ind/inc atom its row projections."""
+    def _visit(self, X, phi):
+        """phi on X through its plan over X.vars, built on its first visit
+        with a nonempty team (in the default mode the empty team satisfies
+        every formula)."""
         key = (phi, X.vars)
-        got = self._prepared.get(key)
-        if got is None:
-            got = self._prepared[key] = _prepare_uncached(self.model, phi, X)
-        return got
+        plan = self._plans.get(key)
+        if plan is None:
+            if not X.rows and not self.literal:
+                return True
+            plan = self._plans[key] = self._plan(phi, X.vars)
+        return plan.run(self, plan, X)
 
-    # -- split disjunction ----------------------------------------------------
+    def _plan(self, phi, variables):
+        """A new plan, its path chosen as the module docstring says."""
+        kind = type(phi)
+        if self.literal or not (kind in _ATOM_CLAUSES or is_first_order(phi)):
+            return _Plan(phi, variables, _memoized, self._clauses[kind])
+        if kind in _ATOM_CLAUSES:
+            return _Plan(phi, variables, _ATOM_CLAUSES[kind])
+        relation = _relation_literal(self.model, phi, variables)
+        if relation is None:  # flatness
+            return _Plan(phi, variables, _rows, facts=(_row_test(self.model, phi, variables), all))
+        get, holds = relation
+        return _Plan(phi, variables, _rows, facts=(
+            get, holds.issuperset if kind is FOAtom else holds.isdisjoint))
 
-    def _eval_split(self, X, phi):
+    def _eval_split(self, plan, X):
         """A first-order side holds on exactly the subteams of the rows that
         satisfy it (flatness), so give it all of those and try the other
         side on the rest plus each subset of them."""
-        for fo_side, other in ((phi.l, phi.r), (phi.r, phi.l)):
-            if is_first_order(fo_side):
-                test = self._prepare(fo_side, X)
-                passing, forced = [], []
-                for r in sorted(X.rows):
-                    (passing if test(r) else forced).append(r)
-                if len(passing) > self.budget.max_split_rows:
-                    break  # the defining clause refuses it by its budget
-                for k in range(len(passing) + 1):
-                    for extra in itertools.combinations(passing, k):
-                        if self._eval(Team(X.vars, forced + list(extra)), other):
-                            return True
-                return False
-        return self._split_covers(X, phi)
+        test, other = plan.facts or _built(plan, _first_order_side(self, plan))
+        passing, forced = [], []
+        for r in sorted(X.rows) if test else ():
+            (passing if test(r) else forced).append(r)
+        if test is None or len(passing) > self.budget.max_split_rows:
+            return self._split_covers(plan, X)  # which refuses the latter by its budget
+        for k in range(len(passing) + 1):
+            for extra in itertools.combinations(passing, k):
+                if self._visit(Team(X.vars, forced + list(extra)), other):
+                    return True
+        return False
 
-    def _split_covers(self, X, phi):
+    def _split_covers(self, plan, X):
         """Defining clause: some cover of X by two subteams, one per side."""
         rows = sorted(X.rows)
         n = len(rows)
@@ -369,63 +327,55 @@ class Evaluator:
                 "split disjunction over %d rows exceeds the budget of %d"
                 % (n, self.budget.max_split_rows))
         for assignment in itertools.product((0, 1, 2), repeat=n):
-            left = [r for r, a in zip(rows, assignment) if a != 1]
-            right = [r for r, a in zip(rows, assignment) if a != 0]
-            if self._eval(Team(X.vars, left), phi.l) and self._eval(Team(X.vars, right), phi.r):
+            left = [row for row, a in zip(rows, assignment) if a != 1]
+            right = [row for row, a in zip(rows, assignment) if a != 0]
+            if (self._visit(Team(X.vars, left), plan.phi.l)
+                    and self._visit(Team(X.vars, right), plan.phi.r)):
                 return True
         return False
 
-    # -- existential quantifier ----------------------------------------------
-
-    def _eval_exists(self, X, phi):
-        # locality: a conjunct without x sees X[F/x] exactly as it sees X
-        for c in _flatten_and(phi.body):
-            if phi.v not in free_vars(c) and not self._eval(X, c):
+    def _eval_exists(self, plan, X):
+        """E x phi is false if a conjunct of phi without x fails on X itself
+        (locality: it sees X[F/x] exactly as it sees X); past that, a block
+        goes to the block solver, anything else to the defining clause.  The
+        facts: phi's conjuncts, the free variables of each one reached so
+        far, then the block, collected once the conjuncts without x hold."""
+        phi = plan.phi
+        facts = plan.facts or _built(plan, [_flatten_and(phi.body), [], None])
+        conjuncts, fvs, block = facts
+        for i, c in enumerate(conjuncts):
+            if i == len(fvs):
+                fvs.append(free_vars(c))
+            if phi.v not in fvs[i] and not self._visit(X, c):
                 return False
-        block = _collect_block(phi, set(X.vars))
-        if block is not None:
-            bound, conjuncts = block
-            res = self._solve_block(X, bound, conjuncts)
-            if res is not None:
-                return res
-        return self._eval_exists_fallback(X, phi)
+        if block is None:
+            block = facts[2] = _collect_block(phi, plan.vars, conjuncts, fvs)
+        if block:
+            return self._solve_block(X, block)
+        return self._eval_exists_fallback(plan, X)
 
-    def _eval_exists_fallback(self, X, phi):
+    def _eval_exists_fallback(self, plan, X):
         """Defining clause: per-row choice of a nonempty value set."""
-        rows = sorted(X.rows)
-        choices = _nonempty_subsets(self.model.domain)
+        rows, domain = sorted(X.rows), self.model.domain
+        choices = [tuple(a for i, a in enumerate(domain) if mask >> i & 1)
+                   for mask in range(1, 1 << len(domain))]  # the nonempty value sets
         total = len(choices) ** len(rows)
         if total > self.budget.max_fallback_combos:
             raise BudgetExceeded(
                 "existential search space %d exceeds the budget of %d"
                 % (total, self.budget.max_fallback_combos))
-        x = phi.v.name
+        x = plan.phi.v.name
         for combo in itertools.product(choices, repeat=len(rows)):
-            if self._eval(set_var(X, x, zip(rows, combo)), phi.body):
+            if self._visit(set_var(X, x, zip(rows, combo)), plan.phi.body):
                 return True
         return False
 
-    # -- existential block solver ---------------------------------------------
-
-    def _solve_block(self, X, bound, conjuncts):
-        """Decide X |= E bound . /\\ conjuncts, or return None if the matrix
-        shape is unsupported.  Conjuncts may be first-order formulas,
-        inclusion atoms, unconditional independence atoms and constancy
-        atoms.  Sound and complete within budget (BudgetExceeded otherwise);
-        any witness found is re-verified against the literal clauses."""
-        fo, incs, inds, consts = [], [], [], []
-        for c in conjuncts:
-            if is_first_order(c):
-                fo.append(c)
-            elif isinstance(c, Inc):
-                incs.append(c)
-            elif isinstance(c, Ind) and not c.zs:
-                inds.append(c)
-            elif isinstance(c, Dep) and not c.determiners:
-                consts.append(c)
-            else:
-                return None
-
+    def _solve_block(self, X, block):
+        """Decide X |= E bound . /\\ conjuncts for a block _collect_block
+        returned.  Sound and complete within budget (BudgetExceeded
+        otherwise); any witness found is re-verified by a fresh default-mode
+        evaluator, whose dep/ind/inc clauses are the ones literal mode runs."""
+        bound, conjuncts, fo, incs, inds, consts = block
         model = self.model
         y_vars = X.vars + tuple(v for v in bound if v not in X.vars)
         col = {v: i for i, v in enumerate(y_vars)}
@@ -446,36 +396,30 @@ class Evaluator:
                 row = list(base) + padding
                 for v, a in zip(bound, vals):
                     row[col[v]] = a
-                row = tuple(row)
                 s = dict(zip(y_vars, row))
                 if all(eval_single(model, s, f) for f in fo):
-                    candidates.append((basekey, row))
+                    candidates.append((basekey, tuple(row)))
 
         needed = {tuple(base[i] for i in base_cols) for base in base_rows}
-
         inc_idx = [([col[v.name] for v in c.xs], [col[v.name] for v in c.ys]) for c in incs]
         ind_idx = [([col[v.name] for v in c.xs], [col[v.name] for v in c.ys]) for c in inds]
-        const_idx = [[col[v.name] for v in c.dependent] for c in consts]
-
-        const_cols = sorted({i for idx in const_idx for i in idx})
+        const_cols = sorted({col[v.name] for c in consts for v in c.dependent})
         value_choices = (itertools.product(model.domain, repeat=len(const_cols))
                          if const_cols else [()])
 
-        self._solver_nodes = 0
+        nodes = itertools.count(1)  # the search nodes of this call
         for values in value_choices:
             fixed = dict(zip(const_cols, values))
-            cand = [c for c in candidates
-                    if all(c[1][i] == a for i, a in fixed.items())]
-            witness = self._solve_core(cand, needed, inc_idx, ind_idx, set())
+            cand = [c for c in candidates if all(c[1][i] == a for i, a in fixed.items())]
+            witness = self._solve_core(cand, needed, inc_idx, ind_idx, set(), nodes)
             if witness is not None:
                 Y = Team(y_vars, [row for _, row in witness])
                 self._verify_witness(X, Y, conjuncts, needed, base_cols)
                 return True
         return False
 
-    def _solve_core(self, cand, needed, inc_idx, ind_idx, failed):
-        self._solver_nodes += 1
-        if self._solver_nodes > self.budget.max_solver_nodes:
+    def _solve_core(self, cand, needed, inc_idx, ind_idx, failed, nodes):
+        if next(nodes) > self.budget.max_solver_nodes:
             raise BudgetExceeded("existential block solver exceeded %d nodes"
                                  % self.budget.max_solver_nodes)
         # greatest fixpoint under the inclusion constraints
@@ -496,27 +440,17 @@ class Evaluator:
             return None
         # look for an independence violation
         for A, B in ind_idx:
-            seen_a = {}
-            seen_b = {}
-            pairs = set()
-            for _, row in cand:
-                a = tuple(row[i] for i in A)
-                b = tuple(row[i] for i in B)
-                seen_a[a] = True
-                seen_b[b] = True
-                pairs.add((a, b))
-            for a in seen_a:
+            ab = [(tuple(row[i] for i in A), tuple(row[i] for i in B)) for _, row in cand]
+            pairs, seen_b = set(ab), dict.fromkeys(b for _, b in ab)
+            for a in dict.fromkeys(a for a, _ in ab):
                 for b in seen_b:
                     if (a, b) not in pairs:
                         # any solution inside cand lacks value a or value b
-                        sub = [c for c in cand if tuple(c[1][i] for i in A) != a]
-                        res = self._solve_core(sub, needed, inc_idx, ind_idx, failed)
-                        if res is not None:
-                            return res
-                        sub = [c for c in cand if tuple(c[1][i] for i in B) != b]
-                        res = self._solve_core(sub, needed, inc_idx, ind_idx, failed)
-                        if res is not None:
-                            return res
+                        for columns, value in ((A, a), (B, b)):
+                            sub = [c for c in cand if tuple(c[1][i] for i in columns) != value]
+                            res = self._solve_core(sub, needed, inc_idx, ind_idx, failed, nodes)
+                            if res is not None:
+                                return res
                         failed.add(key)
                         return None
         return cand
@@ -526,16 +460,52 @@ class Evaluator:
         for c in conjuncts:
             if not sub.eval(Y, c):
                 raise AssertionError("block solver produced a bad witness for %r" % (c,))
-        covered = {tuple(row[i] for i in base_cols) for row in Y.rows}
-        if covered != needed:
+        if {tuple(row[i] for i in base_cols) for row in Y.rows} != needed:
             raise AssertionError("block solver witness does not cover the team")
 
 
-# -- atoms --------------------------------------------------------------------
-# Each clause takes the team and the row projections _prepare built for it.
+# -- paths ----------------------------------------------------------------------
 
-def _dep_holds(X, keys):
-    key, val = keys
+def _memoized(ev, plan, X):
+    if not X.rows and not ev.literal:
+        return True
+    memo = plan.memo
+    out = memo.get(X.rows)  # the plan fixes the team's variables
+    if out is None:
+        out = memo[X.rows] = plan.clause(ev, plan, X)
+    return out
+
+
+def _rows(ev, plan, X):
+    get, compare = plan.facts  # stops at the first failing row
+    return compare(map(get, X.rows))
+
+
+def _built(plan, facts):
+    plan.facts = facts
+    return facts
+
+
+def _first_order_side(ev, plan):
+    """The row test of a split disjunction's first-order side, and its other
+    side.  An atom is not first-order; any other side gets its plan here,
+    whose path says whether it is."""
+    for side, other in ((plan.phi.l, plan.phi.r), (plan.phi.r, plan.phi.l)):
+        if type(side) in _ATOM_CLAUSES:
+            continue
+        key = (side, plan.vars)
+        if key not in ev._plans:
+            ev._plans[key] = ev._plan(side, plan.vars)
+        if ev._plans[key].run is _rows:
+            test, compare = ev._plans[key].facts
+            return (test if compare is all else _row_test(ev.model, side, plan.vars)), other
+    return None, None
+
+
+# -- atoms: each clause reads the row projections _projections builds --------
+
+def _dep_holds(ev, plan, X):
+    key, val = plan.facts or _built(plan, _projections(plan))
     seen = {}
     for r in X.rows:
         v = val(r)
@@ -544,12 +514,12 @@ def _dep_holds(X, keys):
     return True
 
 
-def _ind_holds(X, keys):
+def _ind_holds(ev, plan, X):
     # The atom holds iff every z-class is the product of its x-values A_z and
     # y-values B_z.  Its pairs P_z lie in A_z x B_z and number at most the
     # rows, so the clause fails once the sum of |A_z|*|B_z| passes the row
     # count, and holds iff that sum equals the number of (z, x, y) values.
-    xkey, zkey, ykey, pkey = keys
+    xkey, zkey, ykey, pkey = plan.facts or _built(plan, _projections(plan))
     rows = X.rows
     n = len(rows)
     classes = {}
@@ -573,136 +543,145 @@ def _ind_holds(X, keys):
     return len(set(map(pkey, rows))) == total
 
 
-def _inc_holds(X, keys):
-    xkey, ykey = keys
+def _inc_holds(ev, plan, X):
+    xkey, ykey = plan.facts or _built(plan, _projections(plan))
     return set(map(ykey, X.rows)).issuperset(map(xkey, X.rows))
 
 
+def _projections(plan):
+    phi, vs = plan.phi, plan.vars
+    if type(phi) is Dep:
+        return _key(vs, phi.determiners), _key(vs, phi.dependent)
+    if type(phi) is Ind:
+        return (_key(vs, phi.xs), _key(vs, phi.zs), _key(vs, phi.ys),
+                _key(vs, (*phi.zs, *phi.xs, *phi.ys)))
+    return _key(vs, phi.xs), _key(vs, phi.ys)
+
+
 _ATOM_CLAUSES = {Dep: _dep_holds, Ind: _ind_holds, Inc: _inc_holds}
-_LITERALS = frozenset((FOAtom, NegFOAtom, Eq, NegEq))
 
 
 # -- the clause tables ----------------------------------------------------------
 
-
-def _tarskian(ev, X, phi):
-    return all(eval_single(ev.model, s, phi) for s in X.assignments())
-
-
-def _atom(ev, X, phi):
-    return _ATOM_CLAUSES[type(phi)](X, ev._prepare(phi, X))
+def _tarskian(ev, plan, X):
+    return all(eval_single(ev.model, s, plan.phi) for s in X.assignments())
 
 
-def _generalized(ev, X, phi):
+def _generalized(ev, plan, X):
     from .genatom import eval_direct
-    if phi.atom_name not in ev.registry:
-        raise EvalError("unregistered atom %s" % phi.atom_name)
-    return eval_direct(ev.model, X, ev.registry[phi.atom_name], phi.args)
+    name = plan.phi.atom_name
+    if name not in ev.registry:
+        raise EvalError("unregistered atom %s" % name)
+    return eval_direct(ev.model, X, ev.registry[name], plan.phi.args)
 
 
-def _at_each_value(ev, X, phi):
+
+
+def _at_each_value(ev, plan, X):
     """The teams X[a/x], x set to one value a on every row, for each a."""
-    x = phi.v.name
+    x = plan.phi.v.name
     return (set_var(X, x, zip(X.rows, itertools.repeat((a,)))) for a in ev.model.domain)
 
 
-# The clause of each node class, clause(evaluator, X, phi).  The entries are
-# plain functions, not bound methods, so an evaluator holds no reference to
-# itself and is freed with its memo as soon as it is dropped.
+# The clause of each node class, clause(evaluator, plan, X).  Clauses and
+# paths are plain functions, not bound methods, and no plan refers to its
+# evaluator, so a dropped evaluator is freed at once with all its plans.
 _DEFINING = {
     **dict.fromkeys((FOAtom, NegFOAtom, Eq, NegEq, SeqEq, SeqNeq, Implies, Top), _tarskian),
-    Bot: lambda ev, X, phi: X.is_empty(),
-    **dict.fromkeys((Dep, Ind, Inc), _atom),
+    Bot: lambda ev, plan, X: X.is_empty(),
+    **_ATOM_CLAUSES,
     Gen: _generalized,
-    And: lambda ev, X, phi: ev._eval(X, phi.l) and ev._eval(X, phi.r),
-    BoolOr: lambda ev, X, phi: ev._eval(X, phi.l) or ev._eval(X, phi.r),
+    And: lambda ev, plan, X: ev._visit(X, plan.phi.l) and ev._visit(X, plan.phi.r),
+    BoolOr: lambda ev, plan, X: ev._visit(X, plan.phi.l) or ev._visit(X, plan.phi.r),
     SplitOr: Evaluator._split_covers,
     Exists: Evaluator._eval_exists_fallback,
-    Forall: lambda ev, X, phi: ev._eval(duplicate(X, ev.model, phi.v.name), phi.body),
-    Exists1: lambda ev, X, phi: any(ev._eval(Y, phi.body) for Y in _at_each_value(ev, X, phi)),
-    Forall1: lambda ev, X, phi: all(ev._eval(Y, phi.body) for Y in _at_each_value(ev, X, phi)),
-    WNeg: lambda ev, X, phi: X.is_empty() or not ev._eval(X, phi.body),
+    Forall: lambda ev, plan, X: ev._visit(duplicate(X, ev.model, plan.phi.v.name), plan.phi.body),
+    Exists1: lambda ev, plan, X: any(ev._visit(Y, plan.phi.body) for Y in _at_each_value(ev, plan, X)),
+    Forall1: lambda ev, plan, X: all(ev._visit(Y, plan.phi.body) for Y in _at_each_value(ev, plan, X)),
+    WNeg: lambda ev, plan, X: X.is_empty() or not ev._visit(X, plan.phi.body),
 }
 _FAST = {**_DEFINING, SplitOr: Evaluator._eval_split, Exists: Evaluator._eval_exists}
 
 
-def _collect_block(phi, team_vars):
-    """Gather E x1 ... E xn (conjunction), hoisting nested fresh existentials
-    out of conjuncts.  Returns (bound variable names, conjunct list) or None
-    if the binder pattern is not a clean block."""
+def _collect_block(phi, team_vars, conjuncts, fvs):
+    """Gather E x1 ... E xn (conjunction) from phi and phi.body's conjuncts
+    and their free variables fvs, hoisting nested fresh existentials out of
+    conjuncts, as (bound variable names, conjuncts, and among these the
+    first-order formulas, inclusion, unconditional independence and
+    constancy atoms); False if a binder or a conjunct does not fit."""
     vs, body = exists_prefix(phi)
     bound = [v.name for v in vs]
     if len(set(bound)) != len(bound):
-        return None
+        return False
+    if body is not phi.body:
+        conjuncts = _flatten_and(body)
+        fvs = [free_vars(c) for c in conjuncts]
+    i = 0
+    while i < len(conjuncts):
+        if isinstance(conjuncts[i], Exists):
+            inner_vs, inner = exists_prefix(conjuncts[i])
+            inner_bound = {v.name for v in inner_vs}
+            others = fvs[:i] + fvs[i + 1:]
+            used = set(bound).union(team_vars, *({v.name for v in fv} for fv in others))
+            if len(inner_bound) == len(inner_vs) and not inner_bound & used:
+                bound.extend(v.name for v in inner_vs)
+                hoisted = _flatten_and(inner)
+                conjuncts = conjuncts[:i] + conjuncts[i + 1:] + hoisted
+                fvs = others + [free_vars(c) for c in hoisted]
+                i = 0
+                continue
+        i += 1
+    fo, incs, inds, consts = [], [], [], []
+    for c in conjuncts:
+        if is_first_order(c):
+            fo.append(c)
+        elif isinstance(c, Inc):
+            incs.append(c)
+        elif isinstance(c, Ind) and not c.zs:
+            inds.append(c)
+        elif isinstance(c, Dep) and not c.determiners:
+            consts.append(c)
+        else:
+            return False
+    return bound, conjuncts, fo, incs, inds, consts
 
-    conjuncts = _flatten_and(body)
-    changed = True
-    while changed:
-        changed = False
-        for i, c in enumerate(conjuncts):
-            if isinstance(c, Exists):
-                inner_vs, inner = exists_prefix(c)
-                inner_bound = [v.name for v in inner_vs]
-                others = conjuncts[:i] + conjuncts[i + 1:]
-                used = set(bound) | set(team_vars)
-                for o in others:
-                    used |= {v.name for v in free_vars(o)}
-                if (len(set(inner_bound)) == len(inner_bound)
-                        and not (set(inner_bound) & used)):
-                    bound.extend(inner_bound)
-                    conjuncts = others + _flatten_and(inner)
-                    changed = True
-                    break
-    return bound, conjuncts
 
-
-def _prepare_uncached(model, phi, X):
-    if isinstance(phi, Dep):
-        return _key(X, phi.determiners), _key(X, phi.dependent)
-    if isinstance(phi, Ind):
-        return (_key(X, phi.xs), _key(X, phi.zs), _key(X, phi.ys),
-                _key(X, (*phi.zs, *phi.xs, *phi.ys)))
-    if isinstance(phi, Inc):
-        return _key(X, phi.xs), _key(X, phi.ys)
-    relation = _relation_literal(model, phi, X)
+def _row_test(model, phi, variables):
+    """A first-order phi's test of a row over `variables`: column lookups
+    for a literal over variables, the Tarskian evaluator for the rest."""
+    relation = _relation_literal(model, phi, variables)
     if relation is not None:
         get, holds = relation
-        if isinstance(phi, FOAtom):
-            return lambda r: get(r) in holds
-        return lambda r: get(r) not in holds
-    if isinstance(phi, (Eq, NegEq)) and _team_vars_only(X, (phi.lhs, phi.rhs)):
-        i, j = X.column(phi.lhs.name), X.column(phi.rhs.name)
-        if isinstance(phi, Eq):
-            return lambda r: r[i] == r[j]
-        return lambda r: r[i] != r[j]
-    vs = X.vars
-    return lambda r: eval_single(model, dict(zip(vs, r)), phi)
+        return (lambda r: get(r) in holds) if isinstance(phi, FOAtom) else (
+            lambda r: get(r) not in holds)
+    if isinstance(phi, (Eq, NegEq)) and _team_vars_only(variables, (phi.lhs, phi.rhs)):
+        i, j = variables.index(phi.lhs.name), variables.index(phi.rhs.name)
+        return (lambda r: r[i] == r[j]) if isinstance(phi, Eq) else (lambda r: r[i] != r[j])
+    return lambda r: eval_single(model, dict(zip(variables, r)), phi)
 
 
-def _relation_literal(model, phi, X):
+def _relation_literal(model, phi, variables):
     """For P(xs) or !P(xs) over team variables, the pair (projection,
     relation set): a row satisfies P(xs) iff its xs-projection is in the
-    set.  None for any other formula, and for a relation the model lacks:
-    the Tarskian row test looks that up on each row, so the empty team
-    holds and any other team raises ModelError, as in literal mode."""
+    set.  None for any other formula, and for a relation the model lacks,
+    which the Tarskian row test looks up on each row, as literal mode does."""
     if (type(phi) not in (FOAtom, NegFOAtom) or phi.rel not in model.rels
-            or not _team_vars_only(X, phi.args)):
+            or not _team_vars_only(variables, phi.args)):
         return None
     holds = model.rels[phi.rel]
     if len(phi.args) == 1:
         holds = {t[0] for t in holds if len(t) == 1}  # _key yields bare values
-    return _key(X, phi.args), holds
+    return _key(variables, phi.args), holds
 
 
-def _team_vars_only(X, terms):
-    return all(isinstance(t, Var) and t.name in X.vars for t in terms)
+def _team_vars_only(variables, terms):
+    return all(isinstance(t, Var) and t.name in variables for t in terms)
 
 
-def _key(X, variables):
-    """Row projection onto the columns of `variables`.  A single column
-    projects to a bare value, so only keys built from variable lists of the
-    same length may be compared."""
-    columns = [X.column(v.name) for v in variables]
+def _key(variables, vs):
+    """Row projection onto the columns of vs among `variables`.  A single
+    column projects to a bare value: compare only keys of equal length."""
+    columns = [variables.index(v.name) for v in vs]
     if not columns:
         return lambda r: ()
     return operator.itemgetter(*columns)

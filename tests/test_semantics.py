@@ -324,7 +324,9 @@ def test_formula_hash_is_cached_and_structural():
     h = hash(a)
     ev = Evaluator(M)
     X = Team(("x",), [("0",), ("1",)])
-    assert ev.eval(X, a) and (a, X) in ev._memo and (b, X) in ev._memo
+    assert ev.eval(X, a)
+    plan = ev._plans[b, X.vars]  # b finds the plan and the memo entry that a made
+    assert plan.phi is a and X.rows in plan.memo
     assert hash(a) == h == hash(build())
     assert [name for name, _ in SHAPES[Exists].fields] == ["v", "body"]
     assert repr(Dep((x,), (y,))) == "Dep(determiners=(Var(x),), dependent=(Var(y),))"
@@ -518,6 +520,16 @@ def _leaf(draw):
                           st.builds(Exists, st.sampled_from([x, y]), _literal())))
 
 
+# formulas over leaves whose plans depend on the team variables: w is a team
+# variable in some orders below and not in others
+_w = Var("w")
+_compound = st.one_of(
+    st.builds(Exists, st.sampled_from([x, _w]), _leaf()),
+    st.builds(Exists, st.just(_w), st.builds(And, _leaf(), _leaf())),
+    st.builds(SplitOr, _leaf(), _leaf()),
+    st.builds(Forall, st.sampled_from([y, _w]), _leaf()),
+    st.builds(And, _leaf(), _leaf()))
+
 # the same variables in other column orders, with and without an extra one
 _TEAM_VARS = [("x", "y", "z"), ("z", "x", "y"), ("y", "z", "x", "w"),
               ("w", "z", "y", "x")]
@@ -531,35 +543,78 @@ def _teams(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(_leaf(), min_size=1, max_size=4), st.lists(_teams(), min_size=1, max_size=6))
-def test_team_tests_agree_with_literal(leaves, teams):
-    """dep/ind/inc and first-order leaves on teams of 0-8 rows, asked of one
+@given(st.lists(_leaf(), min_size=1, max_size=4), st.lists(_compound, max_size=2),
+       st.lists(_teams(), min_size=1, max_size=6))
+def test_team_tests_agree_with_literal(leaves, compounds, teams):
+    """dep/ind/inc and first-order leaves on teams of 0-8 rows, and E, A,
+    split disjunctions and conjunctions over them on teams of 0-4 rows (the
+    literal clauses search every supplement and cover), asked of one
     default-mode evaluator across teams whose variables come in different
-    orders: each (leaf, team variables) gets its own team test."""
+    orders: each (formula, team variables) gets its own plan."""
     from teamlogic.semantics import Evaluator
     default, literal = Evaluator(M_ROWS), Evaluator(M_ROWS, literal=True)
     for X in teams + [Team(teams[0].vars, [])]:
-        for phi in leaves:
+        for phi in leaves + (compounds if len(X) <= 4 else []):
             assert default.eval(X, phi) == literal.eval(X, phi), (phi, X)
 
 
 def test_an_evaluator_is_freed_without_the_cycle_collector():
-    """Team tests hold no reference back to their evaluator, so a dropped
-    evaluator frees its memo at once."""
+    """Plans hold no reference back to their evaluator, so a dropped
+    evaluator frees its plans and their memos at once, in both modes and
+    after every kind of plan has run."""
     import gc
     import weakref
     from teamlogic.semantics import Evaluator
+    formulas = [
+        Dep((x,), (y,)), FOAtom("P", (x,)), And(FOAtom("P", (x,)), Eq(x, y)),
+        SplitOr(Eq(x, y), Dep((), (y,))), Forall(z, Dep((x,), (y,))),
+        BoolOr(Dep((), (y,)), Eq(x, y)), Exists1(z, Eq(z, x)), WNeg(Dep((), (x,))),
+        Exists(z, Inc((z,), (y,))),  # the block solver
+        Exists(z, SplitOr(Dep((), (z,)), Dep((), (y,))))]  # the per-row search
     gc.disable()
     try:
-        ev = Evaluator(M)
-        for phi in (Dep((x,), (y,)), FOAtom("P", (x,)), Exists(z, Inc((z,), (y,))),
-                    SplitOr(Eq(x, y), Dep((), (y,)))):
-            ev.eval(T(("0", "1"), ("1", "1")), phi)
-        ref = weakref.ref(ev)
-        del ev
-        assert ref() is None
+        for literal in (False, True):
+            ev = Evaluator(M, literal=literal)
+            for phi in formulas:
+                ev.eval(T(("0", "1"), ("1", "1")), phi)
+            ref = weakref.ref(ev)
+            del ev
+            assert ref() is None, literal
     finally:
         gc.enable()
+
+
+def test_per_formula_facts_are_derived_once_per_plan(monkeypatch):
+    """is_first_order, free_vars, _flatten_and and _collect_block run per
+    plan, not per visit: below, each runs at most once per (subformula, team
+    variables) in one evaluator, however many teams it is asked and its
+    existential search visits.  It meets two tuples of team variables, (x, y)
+    and (x, y, w)."""
+    import collections
+    from teamlogic import semantics
+    from teamlogic.parser import parse_formula
+    phi = parse_formula("E w. (=(;w) /\\ ((w = x \\/ =(;y)) || (w != y \\/ =(;x))))")
+    rows = list(itertools.product(M.domain, repeat=2))
+    teams = [Team(("x", "y"), rs) for k in (4, 3, 2) for rs in itertools.combinations(rows, k)]
+    want = [eval_formula(M, X, phi, literal=True) for X in teams]
+    calls = collections.Counter()
+
+    def count(name, key):
+        fn = getattr(semantics, name)
+
+        def wrapper(*args):
+            calls[name, key(*args)] += 1
+            return fn(*args)
+        monkeypatch.setattr(semantics, name, wrapper)
+    for name in ("is_first_order", "free_vars", "_flatten_and"):
+        count(name, lambda f: f)
+    count("_collect_block", lambda f, team_vars, *rest: (f, frozenset(team_vars)))
+    ev = semantics.Evaluator(M)
+    assert [ev.eval(X, phi) for X in teams] == want
+    assert {name for name, _ in calls} == {"is_first_order", "free_vars", "_flatten_and",
+                                           "_collect_block"}
+    assert max(n for (name, _), n in calls.items() if name == "_collect_block") == 1
+    assert max(calls.values()) <= 2, calls.most_common(3)
 
 
 @pytest.mark.parametrize("literal", [False, True], ids=["default", "literal"])
