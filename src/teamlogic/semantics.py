@@ -21,9 +21,18 @@ An evaluator keeps one plan per formula and tuple of team variables (see
 _Plan), built when the formula is first visited over them with a nonempty
 team: the formula's path, its memo, and the facts the path needs, each
 built the first time it is needed.  A visit looks the plan up once, hashing
-the formula once.  In the default mode three exact paths need no memo: a dep/ind/inc atom runs its clause on the rows, P(xs) or !P(xs) over
-team variables compares the set P with the rows' projections, and any other
-first-order formula runs its row test on every row (flatness, which the
+the formula once.  A search (the existential fallback, the single-value
+quantifiers, the split searches) visits many teams over the same variables,
+so it looks its subformula's plan up once (Evaluator._visitor) and runs it
+on each team.  It derives each team from the valid team X it searches, as
+a subset of X's rows or as X[F/x], without Team's checks (team._generated);
+the block solver's witness, whose rows it assembles by index, goes through
+the checked constructor.
+
+In the default mode three exact paths need no memo: a dep/ind/inc atom
+runs its clause on the rows, P(xs) or !P(xs) over team variables compares
+the set P with the rows' projections, and any other first-order formula
+runs its row test on every row (flatness, which the
 check suites verify independently): column lookups for a literal over
 variables, the Tarskian evaluator for the rest.  Each holds on the empty
 team by itself; the other paths answer it without a clause run.  The
@@ -44,7 +53,7 @@ from .formula import (And, Bot, BoolOr, Const, Dep, Eq, Exists, Exists1,
                       FOAtom, Forall, Forall1, Implies, Inc, Ind, NegEq,
                       NegFOAtom, SeqEq, SeqNeq, SplitOr, Top, Var, WNeg, Gen,
                       exists_prefix, free_vars, is_first_order)
-from .team import Team, duplicate, set_var
+from .team import Team, _generated, all_supplements, duplicate, set_var
 
 
 class EvalError(ValueError):
@@ -288,6 +297,29 @@ class Evaluator:
             plan = self._plans[key] = self._plan(phi, X.vars)
         return plan.run(self, plan, X)
 
+    def _plan_of(self, phi, variables):
+        """phi's plan over `variables`, built if missing."""
+        key = (phi, variables)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = self._plan(phi, variables)
+        return plan
+
+    def _visitor(self, phi):
+        """_visit(X, phi) for the teams X of one search, which share their
+        variables: phi's plan is looked up once, at the first team that
+        needs it, and each team is then just the plan's run."""
+        plan = None
+
+        def visit(X):
+            nonlocal plan
+            if plan is None:
+                if not X.rows and not self.literal:
+                    return True
+                plan = self._plan_of(phi, X.vars)
+            return plan.run(self, plan, X)
+        return visit
+
     def _plan(self, phi, variables):
         """A new plan, its path chosen as the module docstring says."""
         kind = type(phi)
@@ -312,9 +344,10 @@ class Evaluator:
             (passing if test(r) else forced).append(r)
         if test is None or len(passing) > self.budget.max_split_rows:
             return self._split_covers(plan, X)  # which refuses the latter by its budget
+        visit, forced = self._visitor(other), frozenset(forced)
         for k in range(len(passing) + 1):
             for extra in itertools.combinations(passing, k):
-                if self._visit(Team(X.vars, forced + list(extra)), other):
+                if visit(_generated(X.vars, forced.union(extra))):
                     return True
         return False
 
@@ -326,11 +359,12 @@ class Evaluator:
             raise BudgetExceeded(
                 "split disjunction over %d rows exceeds the budget of %d"
                 % (n, self.budget.max_split_rows))
-        for assignment in itertools.product((0, 1, 2), repeat=n):
-            left = [row for row, a in zip(rows, assignment) if a != 1]
-            right = [row for row, a in zip(rows, assignment) if a != 0]
-            if (self._visit(Team(X.vars, left), plan.phi.l)
-                    and self._visit(Team(X.vars, right), plan.phi.r)):
+        left, right = self._visitor(plan.phi.l), self._visitor(plan.phi.r)
+        # each row goes left only (0), right only (1) or to both sides (2)
+        subteam = lambda labels, skip: _generated(
+            X.vars, frozenset([r for r, a in zip(rows, labels) if a != skip]))
+        for labels in itertools.product((0, 1, 2), repeat=n):
+            if left(subteam(labels, 1)) and right(subteam(labels, 0)):
                 return True
         return False
 
@@ -338,37 +372,30 @@ class Evaluator:
         """E x phi is false if a conjunct of phi without x fails on X itself
         (locality: it sees X[F/x] exactly as it sees X); past that, a block
         goes to the block solver, anything else to the defining clause.  The
-        facts: phi's conjuncts, the free variables of each one reached so
-        far, then the block, collected once the conjuncts without x hold."""
+        facts: the conjuncts of phi without x, phi's conjuncts and the free
+        variables of each, then the block, collected once the conjuncts
+        without x hold."""
         phi = plan.phi
-        facts = plan.facts or _built(plan, [_flatten_and(phi.body), [], None])
-        conjuncts, fvs, block = facts
-        for i, c in enumerate(conjuncts):
-            if i == len(fvs):
-                fvs.append(free_vars(c))
-            if phi.v not in fvs[i] and not self._visit(X, c):
+        facts = plan.facts or _built(plan, _exists_facts(phi))
+        local, conjuncts, fvs, block = facts
+        for c in local:
+            if not self._visit(X, c):
                 return False
         if block is None:
-            block = facts[2] = _collect_block(phi, plan.vars, conjuncts, fvs)
+            block = facts[3] = _collect_block(phi, plan.vars, conjuncts, fvs)
         if block:
             return self._solve_block(X, block)
         return self._eval_exists_fallback(plan, X)
 
     def _eval_exists_fallback(self, plan, X):
         """Defining clause: per-row choice of a nonempty value set."""
-        rows, domain = sorted(X.rows), self.model.domain
-        choices = [tuple(a for i, a in enumerate(domain) if mask >> i & 1)
-                   for mask in range(1, 1 << len(domain))]  # the nonempty value sets
-        total = len(choices) ** len(rows)
+        choices = _value_sets(self.model.domain)
+        total = len(choices) ** len(X.rows)
         if total > self.budget.max_fallback_combos:
             raise BudgetExceeded(
                 "existential search space %d exceeds the budget of %d"
                 % (total, self.budget.max_fallback_combos))
-        x = plan.phi.v.name
-        for combo in itertools.product(choices, repeat=len(rows)):
-            if self._visit(set_var(X, x, zip(rows, combo)), plan.phi.body):
-                return True
-        return False
+        return any(map(self._visitor(plan.phi.body), all_supplements(X, plan.phi.v.name, choices)))
 
     def _solve_block(self, X, block):
         """Decide X |= E bound . /\\ conjuncts for a block _collect_block
@@ -486,6 +513,20 @@ def _built(plan, facts):
     return facts
 
 
+@functools.lru_cache(maxsize=None)
+def _value_sets(domain):
+    """The nonempty sets of values of `domain`, as tuples, by bit mask."""
+    return tuple(tuple(a for i, a in enumerate(domain) if mask >> i & 1)
+                 for mask in range(1, 1 << len(domain)))
+
+
+def _exists_facts(phi):
+    """_eval_exists's facts for E x phi.body, the block not yet collected."""
+    conjuncts = _flatten_and(phi.body)
+    fvs = [free_vars(c) for c in conjuncts]
+    return [[c for c, fv in zip(conjuncts, fvs) if phi.v not in fv], conjuncts, fvs, None]
+
+
 def _first_order_side(ev, plan):
     """The row test of a split disjunction's first-order side, and its other
     side.  An atom is not first-order; any other side gets its plan here,
@@ -493,11 +534,9 @@ def _first_order_side(ev, plan):
     for side, other in ((plan.phi.l, plan.phi.r), (plan.phi.r, plan.phi.l)):
         if type(side) in _ATOM_CLAUSES:
             continue
-        key = (side, plan.vars)
-        if key not in ev._plans:
-            ev._plans[key] = ev._plan(side, plan.vars)
-        if ev._plans[key].run is _rows:
-            test, compare = ev._plans[key].facts
+        side_plan = ev._plan_of(side, plan.vars)
+        if side_plan.run is _rows:
+            test, compare = side_plan.facts
             return (test if compare is all else _row_test(ev.model, side, plan.vars)), other
     return None, None
 
@@ -578,9 +617,11 @@ def _generalized(ev, plan, X):
 
 
 def _at_each_value(ev, plan, X):
-    """The teams X[a/x], x set to one value a on every row, for each a."""
+    """phi.body on the teams X[a/x], x set to one value a on every row, for
+    each a, lazily."""
     x = plan.phi.v.name
-    return (set_var(X, x, zip(X.rows, itertools.repeat((a,)))) for a in ev.model.domain)
+    return map(ev._visitor(plan.phi.body), (set_var(X, x, zip(X.rows, itertools.repeat((a,))))
+                                            for a in ev.model.domain))
 
 
 # The clause of each node class, clause(evaluator, plan, X).  Clauses and
@@ -596,8 +637,8 @@ _DEFINING = {
     SplitOr: Evaluator._split_covers,
     Exists: Evaluator._eval_exists_fallback,
     Forall: lambda ev, plan, X: ev._visit(duplicate(X, ev.model, plan.phi.v.name), plan.phi.body),
-    Exists1: lambda ev, plan, X: any(ev._visit(Y, plan.phi.body) for Y in _at_each_value(ev, plan, X)),
-    Forall1: lambda ev, plan, X: all(ev._visit(Y, plan.phi.body) for Y in _at_each_value(ev, plan, X)),
+    Exists1: lambda ev, plan, X: any(_at_each_value(ev, plan, X)),
+    Forall1: lambda ev, plan, X: all(_at_each_value(ev, plan, X)),
     WNeg: lambda ev, plan, X: X.is_empty() or not ev._visit(X, plan.phi.body),
 }
 _FAST = {**_DEFINING, SplitOr: Evaluator._eval_split, Exists: Evaluator._eval_exists}

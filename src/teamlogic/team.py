@@ -5,6 +5,16 @@ A team is an ordered tuple of variable names plus a frozenset of value rows
 (tuples aligned with the variable order).  Teams are canonical: equal teams
 compare equal structurally.
 
+Team(...) checks that the variables are distinct and that every row has one
+value per variable; parsed teams, restrict and teams built from outside data
+go through it.  Teams derived from a valid team (X[F/x] in set_var,
+duplicate, supplement and all_supplements, the evaluator's split subteams)
+and the generators' teams are built by _generated without those checks:
+their variables are the parent's, plus at most one fresh name, or a tuple
+checked once, and their rows are the parent's rows, each with one value set
+or appended, or rows of the product space, of the right length by
+construction.
+
 Team file format: "vars x y z" then one "row a a b" line per assignment.
 """
 
@@ -61,14 +71,33 @@ class Team:
             yield dict(zip(self.vars, r))
 
 
-def set_var(X, x, choices):
-    """X[F/x] for F given as (row, values) pairs: for each pair and each of
-    its values a, the row with x set to a (overwritten where x is a variable
-    of X, appended otherwise)."""
+def _setter(X, x):
+    """The variables of X[F/x], and put(r, a): the row r of X with x set to
+    a (overwritten where x is a variable of X, appended otherwise)."""
     if x in X.vars:
         i = X.column(x)
-        return Team(X.vars, [r[:i] + (a,) + r[i + 1:] for r, values in choices for a in values])
-    return Team(X.vars + (x,), [r + (a,) for r, values in choices for a in values])
+        return X.vars, lambda r, a: r[:i] + (a,) + r[i + 1:]
+    return X.vars + (x,), lambda r, a: r + (a,)
+
+
+def set_var(X, x, choices):
+    """X[F/x] for F given as (row, values) pairs, each row a row of X: for
+    each pair and each of its values a, the row with x set to a."""
+    variables, put = _setter(X, x)
+    return _generated(variables, frozenset([put(r, a) for r, values in choices for a in values]))
+
+
+def all_supplements(X, x, choices):
+    """Every X[F/x] for F mapping each row of X to one of `choices` (tuples
+    of values), in the order of itertools.product over the sorted rows.
+    Each row's extended rows are built once, for all the teams, as one set
+    per choice; a team is the union of one set per row."""
+    variables, put = _setter(X, x)
+    per_row = [[frozenset([put(r, a) for a in values]) for values in choices]
+               for r in sorted(X.rows)]
+    union = frozenset().union
+    for combo in itertools.product(*per_row):
+        yield _generated(variables, union(*combo))
 
 
 def duplicate(X, model, x):
@@ -93,15 +122,6 @@ def rel(X, variables):
     return {tuple(r[i] for i in idx) for r in X.rows}
 
 
-def team_of_relation(R, variables):
-    """X_R: one row per tuple."""
-    variables = tuple(variables)
-    for t in R:
-        if len(t) != len(variables):
-            raise TeamError("tuple length does not match variable list")
-    return Team(variables, [tuple(t) for t in R])
-
-
 def restrict(X, variables):
     """X restricted to a sub-domain, duplicates collapsed."""
     variables = tuple(variables)
@@ -110,9 +130,10 @@ def restrict(X, variables):
 
 
 def _generated(variables, rows, _new=object.__new__):
-    """A team the generators below build without Team's checks: `variables`
-    is the tuple of a team already built through them, and `rows` a
-    frozenset of tuples of its length drawn from the product space."""
+    """A team built without Team's checks.  `variables` is a tuple of
+    distinct names: the parent's variables, plus one fresh name, or a tuple
+    already checked by Team; `rows` is a frozenset of tuples of its length,
+    derived from the rows of a valid team or drawn from the product space."""
     X = _new(Team)
     X.vars = variables
     X.rows = rows

@@ -5,10 +5,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from teamlogic.model import (Model, ModelError, Signature, enumerate_models,
                              expand_with_relation, parse_model, print_model)
-from teamlogic.team import (Team, TeamCapExceeded, TeamError, all_teams,
-                            duplicate, parse_team, print_team, rel, restrict,
-                            sample_small_teams, sample_teams, supplement,
-                            team_of_relation)
+from teamlogic.team import (Team, TeamCapExceeded, TeamError, all_supplements,
+                            all_teams, duplicate, parse_team, print_team, rel,
+                            restrict, sample_small_teams, sample_teams, set_var,
+                            supplement)
 
 
 def m2():
@@ -105,12 +105,11 @@ def test_supplement_requires_total_nonempty():
         supplement(X, {("0",): set(), ("1",): {"0"}}, "y")
 
 
-def test_rel_and_team_of_relation():
+def test_rel():
     X = Team(("x", "y"), [("0", "1"), ("1", "1")])
     assert rel(X, ["y", "x"]) == {("1", "0"), ("1", "1")}
     assert rel(X, []) == {()}
     assert rel(Team(("x",), []), []) == set()
-    assert team_of_relation({("0",), ("1",)}, ["x"]).rows == {("0",), ("1",)}
 
 
 def test_restrict_collapses_duplicates():
@@ -156,6 +155,53 @@ def test_generated_teams_equal_checked_teams(teams):
         assert X == checked and hash(X) == hash(checked)
         assert type(X.vars) is tuple and type(X.rows) is frozenset
         assert all(type(r) is tuple and len(r) == len(X.vars) for r in X.rows)
+
+
+def _checked_with(X, x, pairs):
+    """X[F/x] for F as (row, values) pairs, rebuilt row by row as dicts and
+    through the checked constructor."""
+    variables = X.vars if x in X.vars else X.vars + (x,)
+    rows = []
+    for r, values in pairs:
+        for a in values:
+            s = dict(zip(X.vars, r))
+            s[x] = a
+            rows.append(tuple(s[v] for v in variables))
+    return Team(variables, rows)
+
+
+def _same_team(got, want):
+    assert got == want and hash(got) == hash(want)
+    assert type(got.vars) is tuple and type(got.rows) is frozenset
+    assert len(set(got.vars)) == len(got.vars)
+    assert all(type(r) is tuple and len(r) == len(got.vars) for r in got.rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3), st.sampled_from([("0", "1"), ("0", "1", "2")]), st.data())
+def test_derived_teams_equal_checked_teams(n_vars, domain, data):
+    """set_var, duplicate, supplement and all_supplements build their teams
+    without Team's checks, from a valid team; each is what the checked
+    constructor builds from the same rows, with x a variable of the team or
+    a fresh one."""
+    variables = ("x", "y", "z")[:n_vars]
+    space = list(itertools.product(domain, repeat=n_vars))
+    X = Team(variables, data.draw(st.lists(st.sampled_from(space), max_size=4)))
+    x = data.draw(st.sampled_from(variables + ("w",)))
+    model = Model(domain)
+    rows = sorted(X.rows)
+    F = {r: data.draw(st.sets(st.sampled_from(domain), min_size=1)) for r in rows}
+    _same_team(set_var(X, x, F.items()), _checked_with(X, x, F.items()))
+    _same_team(supplement(X, F, x), _checked_with(X, x, F.items()))
+    _same_team(duplicate(X, model, x), _checked_with(X, x, ((r, domain) for r in rows)))
+    choices = [values for k in range(1, len(domain) + 1)
+               for values in itertools.combinations(domain, k)]
+    got = list(all_supplements(X, x, choices))
+    want = [_checked_with(X, x, zip(rows, combo))
+            for combo in itertools.product(choices, repeat=len(rows))]
+    assert len(got) == len(want) == len(choices) ** len(rows)
+    for Y, Z in zip(got, want):
+        _same_team(Y, Z)
 
 
 def test_generators_reject_duplicate_variables():

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -629,3 +630,43 @@ def test_unknown_relation_holds_on_the_empty_team_and_raises_on_a_row(phi, liter
     assert eval_formula(model, Team(("x",), []), phi, literal=literal) is True
     with pytest.raises(ModelError, match="unknown relation R"):
         eval_formula(model, Team(("x",), [("0",)]), phi, literal=literal)
+
+
+def test_searches_build_no_checked_team(monkeypatch):
+    """The existential, split and quantifier searches derive every subteam
+    from a valid team without Team's checks; the block solver's witness
+    still goes through them.  The fallback builds its body's plan once per
+    (body, team variables), however many supplements it visits."""
+    from teamlogic import semantics
+    phi, psi = Dep((), (x,)), SplitOr(Dep((), (y,)), Eq(x, y))
+    w, u = Var("w"), Var("u")
+    defined = Exists(w, Exists(u, And(And(Dep((), (w,)), Dep((), (u,))),
+                                      And(SplitOr(Eq(w, u), phi), SplitOr(NegEq(w, u), psi)))))
+    rows = list(itertools.product(M.domain, repeat=2))
+    teams = [Team(("x", "y"), rs) for k in (1, 2, 3) for rs in itertools.combinations(rows, k)]
+    want = [eval_formula(M, X, BoolOr(phi, psi)) for X in teams]
+    assert False in want and True in want
+    one = T(("0", "1"))
+    built = []
+    init = Team.__init__
+
+    def counted_init(self, variables, rows):
+        built.append(variables)
+        init(self, variables, rows)
+    monkeypatch.setattr(Team, "__init__", counted_init)
+    small = [X for X in teams if len(X) <= 2]
+    assert [eval_formula(M, X, defined, literal=True) for X in small] == want[:len(small)]
+    planned = collections.Counter()
+    plan = semantics.Evaluator._plan
+
+    def counted_plan(self, f, variables):
+        planned[f, variables] += 1
+        return plan(self, f, variables)
+    monkeypatch.setattr(semantics.Evaluator, "_plan", counted_plan)
+    ev = semantics.Evaluator(M)
+    assert [ev.eval(X, defined) for X in teams] == want
+    assert built == []
+    assert planned[defined.body.body, ("x", "y", "w", "u")] == 1
+    assert set(planned.values()) == {1}
+    assert eval_formula(M, one, Exists(z, Inc((z,), (y,))))
+    assert built == [("x", "y", "z")]
