@@ -69,6 +69,7 @@ def entails_bounded(hypotheses, conclusion, max_domain=2, team_cap=16,
     per model, all teams over the union of free variables, or, when that
     space has more than team_cap assignments, `samples` random teams (1000
     when samples is 0), with at most max_rows rows each if max_rows is set.
+    A negative team_cap, samples or max_rows is refused (ValueError).
 
     The teams depend on the domain only, so the models of one domain size
     share them: the first model builds them lazily, up to a counterexample,
@@ -93,6 +94,10 @@ def entails_bounded(hypotheses, conclusion, max_domain=2, team_cap=16,
     if samples < 0:
         raise ValueError("samples must be 0 (the default) or positive, got %d"
                          % samples)
+    if team_cap < 0:
+        raise ValueError("team_cap must be 0 or positive, got %d" % team_cap)
+    if max_rows is not None and max_rows < 0:
+        raise ValueError("max_rows must be 0 or positive, got %d" % max_rows)
     formulas = list(hypotheses) + [conclusion]
     given = [(h, True) for h in formulas[:-1]] + [(conclusion, False)]
     order = given[:]
@@ -131,8 +136,12 @@ def entails_bounded(hypotheses, conclusion, max_domain=2, team_cap=16,
         # the shared tee iterator is never advanced: a copy of it starts at
         # the first team and shares the buffer of the teams drawn so far
         for n, X in enumerate(copy.copy(teams), 1):
-            try:
-                k = _ruling_out(ev, X, order)
+            try:  # _ruling_out(ev, X, order), inline
+                for k, (phi, wanted) in enumerate(order):
+                    if ev(X, phi) != wanted:
+                        break
+                else:
+                    k = None
             except EvalError:
                 if order == given:
                     raise

@@ -39,7 +39,7 @@ team by itself; the other paths answer it without a clause run.  The
 independence clause fails once the sum over its z-classes of |x-values| *
 |y-values| exceeds the number of rows, which a team satisfying it never
 reaches, as each class is then the product of its projections (Graedel &
-Vaananen, Studia Logica 2013).
+Vaananen, Studia Logica 2013); without zs the team is the one class.
 
 eval_single, the Tarskian evaluator, has a twin for a formula evaluated
 many times, _SingleCompiler, with one compiled clause per eval_single clause.
@@ -274,16 +274,36 @@ class Evaluator:
         self.literal = literal
         self._clauses = _DEFINING if literal else _FAST
         self._plans = {}  # (phi, team variables) -> _Plan
+        self._free = {}  # formula -> its free variables, for _eval_exists
+        self._last = None, None, None  # phi, X.vars and the plan eval last ran
 
     def eval(self, X, phi):
-        key = (phi, X.vars)
-        plan = self._plans.get(key)
-        if plan is None:
-            missing = {v.name for v in free_vars(phi)}.difference(X.vars)
-            if missing:
-                raise EvalError("free variables %s not in team domain" % sorted(missing))
-            plan = self._plans[key] = self._plan(phi, X.vars)
+        """phi on X.  The plan of (phi, X.vars) is built on the first call,
+        after checking that X has phi's free variables (EvalError if not,
+        and nothing is kept).  eval keeps the plan it ran last: a call with
+        the very same formula object and the very same X.vars tuple object
+        runs it without building the key or hashing the formula.  Any other
+        call looks the plan up as the first did, so equal formulas and
+        equal variable tuples still share one plan."""
+        last_phi, last_vars, plan = self._last
+        if phi is not last_phi or X.vars is not last_vars:
+            key = (phi, X.vars)
+            plan = self._plans.get(key)
+            if plan is None:
+                missing = {v.name for v in free_vars(phi)}.difference(X.vars)
+                if missing:
+                    raise EvalError("free variables %s not in team domain" % sorted(missing))
+                plan = self._plans[key] = self._plan(phi, X.vars)
+            self._last = phi, X.vars, plan
         return plan.run(self, plan, X)
+
+    def _free_vars(self, phi):
+        """free_vars(phi), walked once per evaluator: _exists_facts and
+        _collect_block read the conjuncts of nested existentials from here."""
+        fv = self._free.get(phi)
+        if fv is None:
+            fv = self._free[phi] = free_vars(phi)
+        return fv
 
     def _visit(self, X, phi):
         """phi on X through its plan over X.vars, built on its first visit
@@ -376,13 +396,13 @@ class Evaluator:
         variables of each, then the block, collected once the conjuncts
         without x hold."""
         phi = plan.phi
-        facts = plan.facts or _built(plan, _exists_facts(phi))
+        facts = plan.facts or _built(plan, _exists_facts(phi, self._free_vars))
         local, conjuncts, fvs, block = facts
         for c in local:
             if not self._visit(X, c):
                 return False
         if block is None:
-            block = facts[3] = _collect_block(phi, plan.vars, conjuncts, fvs)
+            block = facts[3] = _collect_block(phi, plan.vars, conjuncts, fvs, self._free_vars)
         if block:
             return self._solve_block(X, block)
         return self._eval_exists_fallback(plan, X)
@@ -520,10 +540,11 @@ def _value_sets(domain):
                  for mask in range(1, 1 << len(domain)))
 
 
-def _exists_facts(phi):
-    """_eval_exists's facts for E x phi.body, the block not yet collected."""
+def _exists_facts(phi, free):
+    """_eval_exists's facts for E x phi.body, the block not yet collected;
+    free(c) gives the free variables of a conjunct c."""
     conjuncts = _flatten_and(phi.body)
-    fvs = [free_vars(c) for c in conjuncts]
+    fvs = [free(c) for c in conjuncts]
     return [[c for c, fv in zip(conjuncts, fvs) if phi.v not in fv], conjuncts, fvs, None]
 
 
@@ -561,8 +582,22 @@ def _ind_holds(ev, plan, X):
     xkey, zkey, ykey, pkey = plan.facts or _built(plan, _projections(plan))
     rows = X.rows
     n = len(rows)
-    classes = {}
     total = 0
+    if zkey is None:  # no z: one class, the whole team
+        A, B = set(), set()
+        for r in rows:
+            a = xkey(r)
+            if a not in A:
+                A.add(a)
+                total += len(B)
+            b = ykey(r)
+            if b not in B:
+                B.add(b)
+                total += len(A)
+            if total > n:
+                return False
+        return len(set(map(pkey, rows))) == total
+    classes = {}
     for r in rows:
         z = zkey(r)
         c = classes.get(z)
@@ -591,8 +626,8 @@ def _projections(plan):
     phi, vs = plan.phi, plan.vars
     if type(phi) is Dep:
         return _key(vs, phi.determiners), _key(vs, phi.dependent)
-    if type(phi) is Ind:
-        return (_key(vs, phi.xs), _key(vs, phi.zs), _key(vs, phi.ys),
+    if type(phi) is Ind:  # no z-key when there are no zs
+        return (_key(vs, phi.xs), _key(vs, phi.zs) if phi.zs else None, _key(vs, phi.ys),
                 _key(vs, (*phi.zs, *phi.xs, *phi.ys)))
     return _key(vs, phi.xs), _key(vs, phi.ys)
 
@@ -644,19 +679,20 @@ _DEFINING = {
 _FAST = {**_DEFINING, SplitOr: Evaluator._eval_split, Exists: Evaluator._eval_exists}
 
 
-def _collect_block(phi, team_vars, conjuncts, fvs):
+def _collect_block(phi, team_vars, conjuncts, fvs, free):
     """Gather E x1 ... E xn (conjunction) from phi and phi.body's conjuncts
-    and their free variables fvs, hoisting nested fresh existentials out of
-    conjuncts, as (bound variable names, conjuncts, and among these the
-    first-order formulas, inclusion, unconditional independence and
-    constancy atoms); False if a binder or a conjunct does not fit."""
+    and their free variables fvs (free(c) gives those of any other conjunct
+    c), hoisting nested fresh existentials out of conjuncts, as (bound
+    variable names, conjuncts, and among these the first-order formulas,
+    inclusion, unconditional independence and constancy atoms); False if a
+    binder or a conjunct does not fit."""
     vs, body = exists_prefix(phi)
     bound = [v.name for v in vs]
     if len(set(bound)) != len(bound):
         return False
     if body is not phi.body:
         conjuncts = _flatten_and(body)
-        fvs = [free_vars(c) for c in conjuncts]
+        fvs = [free(c) for c in conjuncts]
     i = 0
     while i < len(conjuncts):
         if isinstance(conjuncts[i], Exists):
@@ -668,7 +704,7 @@ def _collect_block(phi, team_vars, conjuncts, fvs):
                 bound.extend(v.name for v in inner_vs)
                 hoisted = _flatten_and(inner)
                 conjuncts = conjuncts[:i] + conjuncts[i + 1:] + hoisted
-                fvs = others + [free_vars(c) for c in hoisted]
+                fvs = others + [free(c) for c in hoisted]
                 i = 0
                 continue
         i += 1

@@ -15,6 +15,10 @@ checked once, and their rows are the parent's rows, each with one value set
 or appended, or rows of the product space, of the right length by
 construction.
 
+sample_teams draws each team's coin flips with one getrandbits call in place
+of one random() call per assignment; the draws are the same bits of the same
+generator words, so its sequence of teams is unchanged (see its docstring).
+
 Team file format: "vars x y z" then one "row a a b" line per assignment.
 """
 
@@ -160,14 +164,30 @@ def all_teams(model, variables, cap=16):
             yield _generated(variables, rows)
 
 
+# byte -> 1 where its top bit is clear, else 0
+_TOP_BIT_CLEAR = bytes(range(256)).translate(bytes([1] * 128 + [0] * 128))
+
+
 def sample_teams(model, variables, count, seed):
     """Pseudo-random teams: each assignment is included independently with
-    probability 1/2.  Reproducible from the seed."""
+    probability 1/2.  Reproducible from the seed.
+
+    The sequence is that of one `random()` draw per sorted assignment,
+    keeping the assignment when the draw is below 1/2, drawn one team at a
+    time.  A `random()` call takes two 32-bit words of the generator and is
+    below 1/2 exactly when the first word's top bit is clear;
+    `getrandbits(64 * n)` takes the same 2n words, the first in the lowest
+    bits.  So each team takes its n draws as one `getrandbits` call and
+    keeps the assignments whose first word has bit 31 clear: bit 7 of the
+    little-endian bytes 3, 11, 19, ...  The teams and the generator's state
+    after each team are those of the draw-by-draw loop."""
     variables = Team(variables, ()).vars
-    draw = random.Random(seed).random
+    bits = random.Random(seed).getrandbits
     space = sorted(itertools.product(model.domain, repeat=len(variables)))
+    n = len(space)
     for _ in range(count):
-        yield _generated(variables, frozenset([row for row in space if draw() < 0.5]))
+        keep = bits(64 * n).to_bytes(8 * n, "little")[3::8].translate(_TOP_BIT_CLEAR)
+        yield _generated(variables, frozenset(itertools.compress(space, keep)))
 
 
 def sample_small_teams(model, variables, count, max_rows, seed):

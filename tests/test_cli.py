@@ -183,6 +183,14 @@ def test_entail_refuses_a_negative_sample_count(capsys):
     assert captured.err.startswith("error: ") and "samples" in captured.err
 
 
+def test_entail_refuses_a_negative_team_cap(capsys):
+    argv = ["entail", "--hyp", "=(x;y)", "--concl", "=(y;x)", "--team-cap", "-3"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: team_cap must be 0 or positive, got -3\n"
+
+
 def test_machine_flag_before_or_after_the_subcommand(capsys):
     argv = ["entail", "--hyp", "=(x ; y)", "--concl", "=(y ; x)"]
     assert main(["--machine"] + argv) == 1

@@ -67,6 +67,21 @@ def test_a_negative_sample_count_is_refused():
                         team_cap=0, samples=-5)
 
 
+def test_a_negative_team_cap_is_refused():
+    # a negative cap would sample every domain size, as a cap of 0 does
+    with pytest.raises(ValueError, match="team_cap must be 0 or positive, got -3"):
+        entails_bounded([Dep((x,), (y,))], Dep((y,), (x,)), team_cap=-3)
+
+
+def test_a_negative_row_bound_is_refused():
+    with pytest.raises(ValueError, match="max_rows must be 0 or positive, got -1"):
+        entails_bounded([Dep((x,), (y,))], Dep((y,), (x,)), team_cap=0,
+                        samples=5, max_rows=-1)
+    # a bound of 0 rows is a search of empty teams, which every formula holds on
+    assert entails_bounded([Dep((x,), (y,))], Dep((y,), (x,)), team_cap=0,
+                           samples=5, max_rows=0)
+
+
 def test_rule_soundness_check_delegates():
     assert entails_bounded([Dep((x,), (y,)), Dep((y,), (z,))],
                            Dep((x,), (z,)), max_domain=2)

@@ -1,4 +1,6 @@
 import itertools
+import random
+import types
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -240,6 +242,52 @@ def test_sample_teams_keeps_its_sequence():
                    [("0", "0"), ("1", "0"), ("1", "1")]]
     got = [sorted(X.rows) for X in sample_teams(Model(("a", "b", "c")), ("x",), 3, seed=2024)]
     assert got == [[("a",), ("c",)], [("b",)], [("a",), ("b",)]]
+
+
+def _drawn_one_by_one(model, variables, count, seed):
+    """sample_teams's sequence as the draw-by-draw loop: one random() per
+    sorted assignment, kept when below 1/2."""
+    draw = random.Random(seed).random
+    space = sorted(itertools.product(model.domain, repeat=len(variables)))
+    return [frozenset(row for row in space if draw() < 0.5) for _ in range(count)]
+
+
+def test_sample_teams_draws_as_one_random_call_per_assignment():
+    for seed in range(50):
+        for size in (1, 2, 3):
+            model = Model(("a", "b", "c")[:size])
+            for k in range(5):
+                variables = ("x", "y", "z", "w")[:k]
+                for count in (0, 1, 100):
+                    got = [X.rows for X in sample_teams(model, variables, count, seed)]
+                    assert got == _drawn_one_by_one(model, variables, count, seed), (
+                        seed, size, k, count)
+
+
+def test_sample_teams_draws_only_the_teams_taken(monkeypatch):
+    """Taking k teams leaves the generator where k teams of the draw-by-draw
+    loop leave it, and taking none creates no generator."""
+    from teamlogic import team
+    made = []
+
+    class Recorded(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+    monkeypatch.setattr(team, "random", types.SimpleNamespace(Random=Recorded))
+    model, variables = Model(("a", "b", "c")), ("x", "y")  # 9 assignments
+    for k in (0, 1, 2, 7):
+        del made[:]
+        teams = sample_teams(model, variables, 100, seed=3)
+        taken = [X.rows for X in itertools.islice(teams, k)]
+        assert taken == _drawn_one_by_one(model, variables, k, 3)
+        if not k:
+            assert made == []
+            continue
+        reference = random.Random(3)
+        for _ in range(9 * k):
+            reference.random()
+        assert len(made) == 1 and made[0].getstate() == reference.getstate(), k
 
 
 def test_parse_model_rejects_repeated_and_outside_constants():

@@ -483,6 +483,62 @@ def test_precondition_is_checked_on_every_team():
                     ev.eval(X, phi)
 
 
+def _answer(ev, X, phi):
+    try:
+        return ev.eval(X, phi)
+    except EvalError as e:
+        return "EvalError: %s" % e
+
+
+@pytest.mark.parametrize("literal", [False, True], ids=["default", "literal"])
+def test_the_last_plan_answers_as_a_fresh_evaluator(literal):
+    """eval reruns the plan it ran last only for the same formula object and
+    the same variable tuple object; every other call answers, or refuses,
+    as a fresh evaluator does."""
+    from teamlogic.semantics import Evaluator
+    dep, inc = Dep((x,), (y,)), Inc((y,), (x,))
+    A = Team(("x", "y"), [("0", "0"), ("1", "0")])
+    B = Team(tuple(["x", "y"]), [("0", "0"), ("0", "1")])  # equal, distinct vars
+    no_y = Team(("x",), [("0",)])
+    assert A.vars == B.vars and A.vars is not B.vars
+    calls = [
+        (A, dep), (A, dep), (B, dep), (A, dep), (B, Dep((x,), (y,))),
+        (A, Ind((x,), (), (y,))), (A, dep),  # another formula in between
+        (B, And(dep, inc)), (B, inc), (A, inc), (B, inc),  # inc first built by _visit
+        (no_y, dep), (no_y, dep), (A, dep), (no_y, dep), (no_y, inc), (no_y, inc)]
+    ev = Evaluator(M, literal=literal)
+    got = [_answer(ev, X, phi) for X, phi in calls]
+    assert got == [_answer(Evaluator(M, literal=literal), X, phi) for X, phi in calls]
+    refused = "EvalError: free variables ['y'] not in team domain"
+    assert got[:3] == [True, True, False]
+    assert got[-6:] == [refused, refused, True, refused, refused, refused]
+    # the last plan is run without looking it up; any other call looks it up
+    ev.eval(A, dep)
+    ev._plans = {}
+    assert ev.eval(A, dep) and ev._plans == {}
+    assert not ev.eval(B, dep) and list(ev._plans) == [(dep, A.vars)]
+
+
+def test_marginal_independence_agrees_with_the_oracle():
+    """ind(xs;;ys), whose clause keeps one pair of value sets, against the
+    oracle on every team over x, y, z at domain 2, including repeated and
+    empty sides."""
+    from teamlogic.semantics import Evaluator
+    from teamlogic.team import all_teams
+    model, vs = Model(("0", "1")), ("x", "y", "z")
+    atoms = [Ind((x,), (), (x,)), Ind((), (), (y,)), Ind((x,), (), ()),
+             Ind((x, x), (), (y,)), Ind((x,), (), (y, x)), Ind((), (), ())]
+    teams = list(all_teams(model, vs, cap=8))
+    assert len(teams) == 256
+    for literal in (False, True):
+        ev = Evaluator(model, literal=literal)
+        for phi in atoms:
+            names = [[v.name for v in side] for side in (phi.xs, phi.zs, phi.ys)]
+            for X in teams:
+                assert ev.eval(X, phi) == oracle_atoms.holds_ind(vs, X.rows, *names), (
+                    phi, X, literal)
+
+
 def test_literal_mode_runs_every_clause_on_the_empty_team():
     """The default mode answers the empty team by a shortcut (see
     test_empty_team_satisfies_everything); the literal mode runs each clause
@@ -630,6 +686,32 @@ def test_unknown_relation_holds_on_the_empty_team_and_raises_on_a_row(phi, liter
     assert eval_formula(model, Team(("x",), []), phi, literal=literal) is True
     with pytest.raises(ModelError, match="unknown relation R"):
         eval_formula(model, Team(("x",), [("0",)]), phi, literal=literal)
+
+
+def test_nested_existentials_walk_each_conjunct_once(monkeypatch):
+    """_collect_block of the outer E w hoists E u and takes the free
+    variables of its conjuncts; the plan of E u, which the per-row search
+    builds over (x, y, w), reads them from the same evaluator's map."""
+    from teamlogic import semantics
+    w, u = Var("w"), Var("u")
+    conjuncts = [Dep((x,), (u,)), Eq(u, w), Dep((), (w,)), SplitOr(Eq(x, u), Eq(y, u))]
+    phi = Exists(w, Exists(u, And(And(conjuncts[0], conjuncts[1]),
+                                  And(conjuncts[2], conjuncts[3]))))
+    rows = list(itertools.product(M.domain, repeat=2))
+    teams = [Team(("x", "y"), rs) for k in (1, 2) for rs in itertools.combinations(rows, k)]
+    want = [eval_formula(M, X, phi, literal=True) for X in teams]
+    assert True in want and False in want
+    walks = collections.Counter()
+    real = semantics.free_vars
+
+    def counted(f):
+        walks[f] += 1
+        return real(f)
+    monkeypatch.setattr(semantics, "free_vars", counted)
+    ev = semantics.Evaluator(M)
+    assert [ev.eval(X, phi) for X in teams] == want
+    assert all(walks[c] == 1 for c in conjuncts), walks
+    assert set(walks.values()) == {1}
 
 
 def test_searches_build_no_checked_team(monkeypatch):
