@@ -144,8 +144,8 @@ def _team_vars(phi):
 # --- the suites ---------------------------------------------------------------
 
 
-def suite_flatness(seed=0, runs=100, model=None):
-    model = model or default_model()
+def suite_flatness(seed=0, runs=100):
+    model = default_model()
     rng = random.Random(seed)
     failures = []
     for i in range(runs):
@@ -158,8 +158,8 @@ def suite_flatness(seed=0, runs=100, model=None):
     return SuiteResult("flatness", runs, failures)
 
 
-def suite_union(seed=0, runs=100, model=None):
-    model = model or default_model()
+def suite_union(seed=0, runs=100):
+    model = default_model()
     rng = random.Random(seed)
     failures = []
     for i in range(runs):
@@ -174,10 +174,10 @@ def suite_union(seed=0, runs=100, model=None):
     return SuiteResult("union", runs, failures)
 
 
-def suite_lem(seed=0, runs=100, model=None):
+def suite_lem(seed=0, runs=100):
     """Every team satisfies the split disjunction of a first-order formula
     with its negation."""
-    model = model or default_model()
+    model = default_model()
     rng = random.Random(seed)
     failures = []
     for i in range(runs):
@@ -188,8 +188,8 @@ def suite_lem(seed=0, runs=100, model=None):
     return SuiteResult("lem", runs, failures)
 
 
-def suite_downward(seed=0, runs=100, model=None):
-    model = model or default_model()
+def suite_downward(seed=0, runs=100):
+    model = default_model()
     rng = random.Random(seed)
     failures = []
     for i in range(runs):
@@ -207,8 +207,8 @@ def suite_downward(seed=0, runs=100, model=None):
     return SuiteResult("downward", runs, failures)
 
 
-def suite_locality(seed=0, runs=100, model=None):
-    model = model or default_model()
+def suite_locality(seed=0, runs=100):
+    model = default_model()
     rng = random.Random(seed)
     failures = []
     for i in range(runs):
@@ -227,8 +227,8 @@ def suite_locality(seed=0, runs=100, model=None):
     return SuiteResult("locality", runs, failures)
 
 
-def suite_empty_team(seed=0, runs=100, model=None):
-    model = model or default_model()
+def suite_empty_team(seed=0, runs=100):
+    model = default_model()
     rng = random.Random(seed)
     failures = []
     for i in range(runs):
@@ -239,10 +239,10 @@ def suite_empty_team(seed=0, runs=100, model=None):
     return SuiteResult("empty-team", runs, failures)
 
 
-def suite_fo_negation(seed=0, runs=50, model=None):
+def suite_fo_negation(seed=0, runs=50):
     """The synthesized weak negation of a first-order formula agrees with the
     semantic weak-negation clause."""
-    model = model or default_model()
+    model = default_model()
     rng = random.Random(seed)
     failures = []
     for i in range(runs):
@@ -266,10 +266,10 @@ _ATOM_CASES = [
 ]
 
 
-def suite_atom_translation(seed=0, runs=30, model=None):
+def suite_atom_translation(seed=0, runs=30):
     """Native atom evaluation, the direct alternation clause, and the
     translated defining formula agree."""
-    model = model or default_model()
+    model = default_model()
     rng = random.Random(seed)
     failures = []
     total = 0
@@ -290,9 +290,9 @@ def suite_atom_translation(seed=0, runs=30, model=None):
     return SuiteResult("atom-translation", total, failures)
 
 
-def suite_atom_complement(seed=0, runs=30, model=None):
+def suite_atom_complement(seed=0, runs=30):
     """Weak negation of an atom is the complemented atom over the same grid."""
-    model = model or default_model()
+    model = default_model()
     rng = random.Random(seed)
     failures = []
     total = 0
@@ -312,11 +312,11 @@ def suite_atom_complement(seed=0, runs=30, model=None):
     return SuiteResult("atom-complement", total, failures)
 
 
-def suite_so_correspondence(seed=0, runs=40, model=None):
+def suite_so_correspondence(seed=0, runs=40):
     """Team satisfaction agrees with truth of the second-order translation
     over the team relation."""
     from .eso import check_correspondence
-    model = model or default_model()
+    model = default_model()
     rng = random.Random(seed)
     failures = []
     total = 0
@@ -334,10 +334,10 @@ def suite_so_correspondence(seed=0, runs=40, model=None):
     return SuiteResult("so-correspondence", total, failures)
 
 
-def suite_definability(seed=0, runs=50, model=None):
+def suite_definability(seed=0, runs=50):
     """The single-value quantifier and the Boolean disjunction are definable:
     E1 x phi == E x (=(x) /\\ phi), and phi || psi via two constancy flags."""
-    model = model or default_model()
+    model = default_model()
     rng = random.Random(seed)
     failures = []
     for i in range(runs):
@@ -362,10 +362,10 @@ def suite_definability(seed=0, runs=50, model=None):
     return SuiteResult("definability", runs, failures)
 
 
-def suite_team_constructions(seed=0, runs=50, model=None):
+def suite_team_constructions(seed=0, runs=50):
     """simulating_team satisfies the inclusion guard of its rounds;
     duplicating_team satisfies the duplication guard."""
-    model = model or default_model()
+    model = default_model()
     rng = random.Random(seed)
     failures = []
     xs = [Var("x"), Var("y")]
@@ -405,15 +405,16 @@ SUITES = {
 }
 
 
-def run_suite(name, seed=0, runs=None, model=None):
+def run_suite(name, seed=0, runs=None):
     if name not in SUITES:
         raise KeyError("unknown suite %r (have: %s)" % (name, ", ".join(sorted(SUITES))))
+    if runs is not None and runs < 0:
+        raise ValueError("runs must be 0 or positive, got %d" % runs)
     fn = SUITES[name]
     if runs is None:
-        return fn(seed=seed, model=model)
-    return fn(seed=seed, runs=runs, model=model)
+        return fn(seed=seed)
+    return fn(seed=seed, runs=runs)
 
 
-def run_all(seed=0, runs=None, model=None):
-    return [run_suite(name, seed=seed, runs=runs, model=model)
-            for name in SUITES]
+def run_all(seed=0, runs=None):
+    return [run_suite(name, seed=seed, runs=runs) for name in SUITES]

@@ -20,7 +20,7 @@ import sys
 from .checks import SUITES, run_all, run_suite
 from .entailment import entails_bounded
 from .eso import print_eso, tau
-from .genatom import atom_def_of, register_builtin_atoms, sigma_pi_translate
+from .genatom import atom_def_of, sigma_pi_translate
 from .model import parse_model, print_model
 from .negation import NotNegatableError, wneg
 from .parser import ParseError, parse_formula, print_formula
@@ -52,8 +52,13 @@ def _read(path):
 def cmd_check(args):
     model = parse_model(_read(args.model))
     X = parse_team(_read(args.team))
+    for row in sorted(X.rows):
+        for var, value in zip(X.vars, row):
+            if value not in model.domain:
+                raise CliError("team value %r of variable %s is not in the "
+                               "model's domain" % (value, var))
     phi = parse_formula(args.formula, constants=tuple(model.consts))
-    value = eval_formula(model, X, phi, registry=register_builtin_atoms())
+    value = eval_formula(model, X, phi)
     _emit(args.machine, "satisfied" if value else "not satisfied",
           [("result", "sat" if value else "unsat")])
     return 0 if value else 1
@@ -64,7 +69,7 @@ def cmd_entail(args):
     concl = parse_formula(args.concl)
     verdict = entails_bounded(hyps, concl, max_domain=args.max_domain,
                               team_cap=args.team_cap, samples=args.samples,
-                              seed=args.seed, registry=register_builtin_atoms())
+                              seed=args.seed)
     if verdict:
         by_size = verdict.searched["by_size"]
         sampled = [d for d in sorted(by_size) if by_size[d]["sampled"]]
@@ -98,7 +103,7 @@ def cmd_entail(args):
 def cmd_negate(args):
     phi = parse_formula(args.formula, expand=False)
     try:
-        neg = wneg(phi, register_builtin_atoms())
+        neg = wneg(phi)
     except NotNegatableError as e:
         raise CliError(str(e))
     text = print_formula(neg)
@@ -108,7 +113,7 @@ def cmd_negate(args):
 
 def cmd_translate(args):
     phi = parse_formula(args.formula, expand=False)
-    records = [("second_order", print_eso(tau(phi, registry=register_builtin_atoms())))]
+    records = [("second_order", print_eso(tau(phi)))]
     pair = atom_def_of(phi)
     if pair is not None:
         d, xs = pair
@@ -119,7 +124,7 @@ def cmd_translate(args):
 
 def cmd_prove(args):
     script = parse_proof(_read(args.script))
-    verdict = check_proof(script, registry=register_builtin_atoms())
+    verdict = check_proof(script)
     rules = collections.Counter(st.rule for st in script.steps.values())
     steps = [("rule_" + rule, n) for rule, n in sorted(rules.items())]
     if verdict:

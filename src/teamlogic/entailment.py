@@ -69,7 +69,8 @@ def entails_bounded(hypotheses, conclusion, max_domain=2, team_cap=16,
     per model, all teams over the union of free variables, or, when that
     space has more than team_cap assignments, `samples` random teams (1000
     when samples is 0), with at most max_rows rows each if max_rows is set.
-    A negative team_cap, samples or max_rows is refused (ValueError).
+    A max_domain below 1 or a negative team_cap, samples or max_rows is
+    refused (ValueError).
 
     The teams depend on the domain only, so the models of one domain size
     share them: the first model builds them lazily, up to a counterexample,
@@ -91,6 +92,8 @@ def entails_bounded(hypotheses, conclusion, max_domain=2, team_cap=16,
     order: the search raises only on a team where the given order raises
     too, and it may answer where the given order would have given up,
     since another test ruled the team out first."""
+    if max_domain < 1:
+        raise ValueError("max_domain must be 1 or more, got %d" % max_domain)
     if samples < 0:
         raise ValueError("samples must be 0 (the default) or positive, got %d"
                          % samples)

@@ -19,7 +19,7 @@ import re
 
 from .formula import (And, Dep, Eq, Implies, Inc, Ind, Top, Var, conj,
                       exists_block, fo_negate, forall_block, free_vars,
-                      is_first_order, substitute)
+                      is_first_order)
 from .team import Team, rel as team_rel
 
 SIGMA = "sigma"
@@ -62,10 +62,6 @@ class GeneralizedAtomDef:
         self.m = m
         self.phiR = phiR
         self._complement = None
-
-    @property
-    def relation_arity(self):
-        return sum(self.k) * self.m
 
     def group_vars(self, i):
         """The grid variables of round i, row-major."""
@@ -174,17 +170,6 @@ def make_inc(k):
     m = 2 * k
     phi = conj([Eq(wvar(1, 1, l), wvar(2, 1, k + l)) for l in range(1, k + 1)])
     return GeneralizedAtomDef("inc%d" % k, PI, 2, (1, 1), m, phi)
-
-
-def make_fo(name, phi, variables):
-    """A first-order formula as a one-round pi atom over its argument list."""
-    sub = {v: wvar(1, 1, l) for l, v in enumerate(variables, start=1)}
-    stray = {v.name for v in free_vars(phi)} - {v.name for v in sub}
-    if stray:
-        raise AtomDefError("formula mentions variables outside the argument "
-                           "list: %s" % sorted(stray))
-    return GeneralizedAtomDef(name, PI, 1, (1,), len(variables),
-                              substitute(phi, sub))
 
 
 def atom_def_of(phi):
@@ -323,38 +308,3 @@ def duplicating_team(model, X, xs, w_groups):
         out_rows = [r + p for r in out_rows for p in patterns]
         out_vars.extend(v.name for v in gvars)
     return Team(out_vars, out_rows)
-
-
-# --- atom definition files ----------------------------------------------------
-
-_HEAD_RE = re.compile(
-    r"genatom\s+(?P<name>\w+)\s+(?P<pol>sigma|pi)\s+n=(?P<n>\d+)\s+"
-    r"k=\[(?P<k>[\d,\s]+)\]\s+m=(?P<m>\d+)\s*$")
-
-
-def parse_atom_def(text):
-    """Parse the two-line atom definition format:
-
-        genatom NAME POLARITY n=N k=[k1,...] m=M
-        phi: <formula over the w$i$j$l grid>
-    """
-    from .parser import parse_formula
-    lines = [l for l in text.splitlines() if l.strip() and not l.strip().startswith("#")]
-    if len(lines) != 2:
-        raise AtomDefError("expected a header line and a phi line")
-    m1 = _HEAD_RE.match(lines[0].strip())
-    if not m1:
-        raise AtomDefError("malformed header: %r" % lines[0])
-    if not lines[1].strip().startswith("phi:"):
-        raise AtomDefError("second line must start with 'phi:'")
-    phi = parse_formula(lines[1].strip()[4:], expand=False, allow_reserved=True)
-    k = tuple(int(p) for p in m1.group("k").replace(",", " ").split())
-    return GeneralizedAtomDef(m1.group("name"), m1.group("pol"),
-                              int(m1.group("n")), k, int(m1.group("m")), phi)
-
-
-def print_atom_def(d):
-    from .parser import print_formula
-    return "genatom %s %s n=%d k=[%s] m=%d\nphi: %s\n" % (
-        d.name, d.polarity, d.n, ",".join(map(str, d.k)), d.m,
-        print_formula(d.phiR))

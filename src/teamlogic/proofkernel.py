@@ -498,38 +498,3 @@ def _realizable(keys, bits):
                 return False
             rels[sig] = v
     return True
-
-
-# --- helpers used by script generation ----------------------------------------
-
-
-def close_formula(delta, chi):
-    """Existentially close chi over its free variables (which must be
-    disjoint from those of delta) and return the closure together with two
-    mechanical scripts exercising the introduction and elimination patterns;
-    both pass check_proof."""
-    from .parser import print_formula
-    from .formula import sorted_free_vars
-    dvars = set()
-    for d in delta:
-        dvars |= {v.name for v in free_vars(d)}
-    xs = sorted_free_vars(chi)
-    clash = {v.name for v in xs} & dvars
-    if clash:
-        raise ProofError("free variables %s shared with the context" % sorted(clash))
-    closed = exists_block(list(xs), chi)
-    intro = "\n".join(
-        ["1. %s ; premise" % print_formula(chi)]
-        + ["%d. %s ; ExI %d" % (i + 2, print_formula(exists_block(list(xs[len(xs) - 1 - i:]), chi)), i + 1)
-           for i in range(len(xs))]) + "\n"
-    fresh = {x: Var("%s_0" % x.name) for x in xs}
-    inst = substitute(chi, fresh)
-    elim = ("1. %s ; premise\n" % print_formula(closed)
-            + "assume %s\n" % print_formula(inst)
-            + "".join("%d. %s ; ExI %d" % (i + 3, print_formula(
-                exists_block([fresh[x] for x in xs[len(xs) - 1 - i:]], inst)), i + 2) + "\n"
-                for i in range(len(xs)))
-            + "qed 2\n"
-            + "%d. %s ; ExE 1 2\n" % (len(xs) + 3,
-                                      print_formula(exists_block([fresh[x] for x in xs], inst))))
-    return closed, intro, elim

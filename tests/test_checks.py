@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from teamlogic.checks import (SUITES, default_model, gen_downward, gen_fo,
+from teamlogic.checks import (SUITES, gen_downward, gen_fo,
                               gen_full, gen_so_friendly, run_all, run_suite)
 from teamlogic.parser import print_formula
 
@@ -28,6 +28,14 @@ def test_unknown_suite_rejected():
         run_suite("nonesuch", seed=0, runs=1)
 
 
+def test_a_negative_run_count_is_refused():
+    # a negative count would run no check and read as a pass
+    with pytest.raises(ValueError, match="runs must be 0 or positive, got -1"):
+        run_suite("flatness", runs=-1)
+    with pytest.raises(ValueError, match="runs must be 0 or positive, got -3"):
+        run_all(runs=-3)
+
+
 def test_run_all_covers_every_suite():
     results = run_all(seed=3, runs=2)
     assert {r.name for r in results} == set(SUITES)
@@ -38,12 +46,6 @@ def test_runs_are_reproducible():
     a = run_suite("flatness", seed=9, runs=5)
     b = run_suite("flatness", seed=9, runs=5)
     assert a.runs == b.runs and a.failures == b.failures
-
-
-def test_custom_model_is_used():
-    m = default_model()
-    res = run_suite("downward", seed=1, runs=3, model=m)
-    assert res.ok
 
 
 # The first three draws of each generator at seed 2024 and the next 32 random

@@ -102,6 +102,28 @@ def test_props_single_suite_machine(capsys):
     assert "suite=flatness status=pass" in capsys.readouterr().out
 
 
+def test_props_refuses_a_negative_sample_count(capsys):
+    assert main(["props", "--suite", "flatness", "--samples", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: runs must be 0 or positive, got -1\n"
+    assert main(["--machine", "props", "--suite", "lem", "--samples", "-3"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_check_refuses_a_team_value_outside_the_domain(files, capsys):
+    # P(x) would read as satisfied and x = y as refuted, both on a value
+    # the structure does not have
+    m = files("m.txt", "domain a b\nrel P 1\n  a\n")
+    t = files("t.txt", "vars x y\nrow a c\n")
+    for formula in ("P(x)", "x = y"):
+        assert main(["check", "--model", m, "--team", t, "--formula", formula]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: team value 'c' of variable y is not "
+                                "in the model's domain\n")
+
+
 def test_usage_errors_exit_2(files, capsys):
     assert main(["prove", "--script", "/nonexistent.prf"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -189,6 +211,14 @@ def test_entail_refuses_a_negative_team_cap(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: team_cap must be 0 or positive, got -3\n"
+
+
+def test_entail_refuses_a_domain_bound_below_one(capsys):
+    argv = ["entail", "--hyp", "=(x;y)", "--concl", "=(y;x)", "--max-domain", "0"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: max_domain must be 1 or more, got 0\n"
 
 
 def test_machine_flag_before_or_after_the_subcommand(capsys):

@@ -21,8 +21,8 @@ def test_mentioned_signature():
 
 def test_mentioned_signature_sees_through_registered_atoms():
     from teamlogic.formula import Gen
-    from teamlogic.genatom import make_fo
-    d = make_fo("px", FOAtom("P", (x,)), (x,))
+    from teamlogic.genatom import PI, GeneralizedAtomDef, wvar
+    d = GeneralizedAtomDef("px", PI, 1, (1,), 1, FOAtom("P", (wvar(1, 1, 1),)))
     sig = mentioned_signature([Gen("px", (y,))], registry={"px": d})
     assert sig.relations == {"P": 1}
 
@@ -80,6 +80,12 @@ def test_a_negative_row_bound_is_refused():
     # a bound of 0 rows is a search of empty teams, which every formula holds on
     assert entails_bounded([Dep((x,), (y,))], Dep((y,), (x,)), team_cap=0,
                            samples=5, max_rows=0)
+
+
+def test_a_domain_bound_below_one_is_refused():
+    # the refusal names this function's parameter, not enumerate_models'
+    with pytest.raises(ValueError, match="max_domain must be 1 or more, got 0"):
+        entails_bounded([Dep((x,), (y,))], Dep((y,), (x,)), max_domain=0)
 
 
 def test_rule_soundness_check_delegates():

@@ -4,11 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from teamlogic.checks import default_model
-from teamlogic.formula import And, Dep, Eq, FOAtom, Inc, Ind, Var, free_vars
+from teamlogic.formula import And, Dep, Eq, Inc, Ind, Var, free_vars
 from teamlogic.genatom import (AtomDefError, GeneralizedAtomDef, atom_def_of,
                                build_inc, build_pro, complement, duplicating_team,
-                               eval_direct, make_dep, make_fo, make_inc,
-                               make_ind, parse_atom_def, print_atom_def,
+                               eval_direct, make_dep, make_inc, make_ind,
                                register_builtin_atoms, sigma_pi_translate,
                                simulating_team, wvar)
 from teamlogic.semantics import eval_formula
@@ -85,14 +84,6 @@ def test_def_validation():
         GeneralizedAtomDef("bad", "pi", 1, (1,), 1, Eq(wvar(1, 1, 1), x))
 
 
-def test_make_fo():
-    d = make_fo("px", FOAtom("P", (x,)), (x,))
-    assert eval_direct(M, Team(("x",), [("1",)]), d, (x,))
-    assert not eval_direct(M, Team(("x",), [("1",), ("0",)]), d, (x,))
-    with pytest.raises(AtomDefError):
-        make_fo("px", FOAtom("P", (y,)), (x,))
-
-
 def test_translate_matches_direct_on_all_small_teams():
     for d, vs in [(make_dep(1), ("x", "y")), (make_inc(1), ("x", "y")),
                   (make_ind(1, 1, 0), ("x", "y"))]:
@@ -153,40 +144,6 @@ def test_duplicating_team_satisfies_production_guards():
         duplicating_team(M, Team(("x", "y"), []), (x, y), groups)
     with pytest.raises(AtomDefError):
         duplicating_team(M, X, (x,), groups)
-
-
-def test_atom_def_round_trip():
-    for d in register_builtin_atoms().values():
-        d2 = parse_atom_def(print_atom_def(d))
-        assert (d2.name, d2.polarity, d2.n, d2.k, d2.m) == \
-            (d.name, d.polarity, d.n, d.k, d.m)
-        assert d2.phiR == d.phiR
-
-
-_DEFS = st.one_of(st.builds(make_dep, st.integers(1, 3)),
-                  st.builds(make_inc, st.integers(1, 3)),
-                  st.builds(make_ind, st.integers(1, 2), st.integers(1, 2),
-                            st.integers(0, 2)))
-
-
-@settings(max_examples=60, deadline=None)
-@given(_DEFS, st.booleans())
-def test_atom_def_print_then_parse_is_the_identity(d, co):
-    """Every builtin construction and its complement round-trip through the
-    two-line atom definition format."""
-    if co:
-        d = complement(d)
-    d2 = parse_atom_def(print_atom_def(d))
-    assert (d2.name, d2.polarity, d2.n, d2.k, d2.m, d2.phiR) == \
-        (d.name, d.polarity, d.n, d.k, d.m, d.phiR)
-
-def test_atom_def_parse_errors():
-    with pytest.raises(AtomDefError):
-        parse_atom_def("genatom a pi n=1 k=[1] m=1")
-    with pytest.raises(AtomDefError):
-        parse_atom_def("not a header\nphi: x = x")
-    with pytest.raises(AtomDefError):
-        parse_atom_def("genatom a pi n=1 k=[1] m=1\nbody: w$1$1$1 = w$1$1$1")
 
 
 _XYZ = (Var("x"), Var("y"), Var("z"))

@@ -14,7 +14,7 @@ from teamlogic.parser import parse_formula
 from teamlogic.negation import wneg
 from teamlogic import proofkernel
 from teamlogic.proofkernel import (ProofError, bounded_fo_step, check_proof,
-                                   close_formula, parse_proof)
+                                   parse_proof)
 from teamlogic.semantics import eval_single
 
 PROOF_DIR = os.path.join(os.path.dirname(__file__), "..", "proofs")
@@ -492,19 +492,6 @@ def test_bounded_fo_step_agrees_with_every_small_model(step):
     terms, premises, conclusion = step
     assert (bounded_fo_step(premises, conclusion)
             == _entails_by_models(terms, premises, conclusion))
-
-
-def test_close_formula_scripts_are_accepted():
-    delta = [parse_formula("=(x ; y)")]
-    chi = parse_formula("inc(a ; b)")
-    closed, intro, elim = close_formula(delta, chi)
-    assert check_text(intro)
-    assert check_text(elim)
-
-
-def test_close_formula_rejects_shared_free_variables():
-    with pytest.raises(ProofError):
-        close_formula([parse_formula("=(x ; y)")], parse_formula("inc(x ; b)"))
 
 
 def test_wnege_on_a_generalized_atom_without_registry_is_rejected():

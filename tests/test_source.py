@@ -1,12 +1,14 @@
 """Checks on the package source itself, with the standard library only."""
 
 import ast
+import collections
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "teamlogic"
+BENCH = SRC.parents[1] / "bench"
 
 
 def _unused_imports(tree):
@@ -67,6 +69,47 @@ def test_dead_private_names_are_detected():
 def test_every_private_name_is_read():
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     assert _dead_private_names(trees) == []
+
+
+def _reads(node):
+    """Counts of the names read anywhere under node, as names or attributes."""
+    reads = collections.Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            reads[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            reads[sub.attr] += 1
+    return reads
+
+
+def _unread_public_names(modules, readers, exported):
+    """(module, name) for each public module-level function or class of
+    `modules` that no tree of `modules` or `readers` reads outside its own
+    definition and that is not in `exported`."""
+    reads = sum((_reads(tree) for tree in [*modules.values(), *readers]),
+                collections.Counter())
+    return sorted((module, node.name) for module, tree in modules.items()
+                  for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_") and node.name not in exported
+                  and reads[node.name] == _reads(node)[node.name])
+
+
+def test_unread_public_names_are_detected():
+    modules = {"a": ast.parse("def f(n):\n    return f(n - 1)\n\nclass C:\n    pass\n\n"
+                              "def g():\n    pass\n\ndef _h():\n    pass\n"),
+               "b": ast.parse("from a import C\n\ndef k():\n    return C\n")}
+    readers = [ast.parse("import a\n\na.g()\n")]
+    assert _unread_public_names(modules, readers, set()) == [("a", "f"), ("b", "k")]
+    assert _unread_public_names(modules, readers, {"f", "k"}) == []
+
+
+def test_every_public_name_is_read_or_exported():
+    modules = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    readers = [ast.parse(path.read_text()) for path in sorted(BENCH.glob("*.py"))]
+    exported = {alias.asname or alias.name for node in modules["__init__.py"].body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert _unread_public_names(modules, readers, exported) == []
 
 
 def test_importing_the_cli_loads_no_dataclasses():
