@@ -14,11 +14,15 @@ field the variable the node binds, a Term field one term, a tuple[Term, ...]
 field a sequence of terms and a tuple[Var, ...] field a sequence of variables
 only (the arguments of Dep, Ind, Inc and Gen); any other field (the name of a
 relation or atom) is a label.  children, terms and rebuild read the table,
-and so do the traversals over it: free_vars, substitute, expand_sugar,
-is_first_order, subformulas and match.  A new node class needs nothing more
-here than its annotated fields (and, if it is first-order, its entry in
-_FIRST_ORDER and its dual in _FO_DUALS); the clauses that give it a meaning
-(the evaluator, the printer) are written out where they live.
+and so do the traversals over it: substitute, expand_sugar, subformulas and
+match.  free_vars and is_first_order, which run under every evaluation, do
+not walk the table: when a class is created, one clause of each is built
+from its shape (a binder's body minus the bound variable, the union of two
+subformulas, the Vars of a leaf's terms, ...), and the two functions call
+the clause of type(phi).  A new node class needs nothing more here than its
+annotated fields (and, if it is first-order, its entry in _FIRST_ORDER and
+its dual in _FO_DUALS); the clauses that give it a meaning (the evaluator,
+the printer) are written out where they live.
 """
 
 from operator import attrgetter
@@ -133,13 +137,18 @@ Term = Var | Const
 
 class Formula(Node):
     """Base class of the formula nodes.  Creating a subclass enters its
-    shape, read off its annotated fields, into SHAPES."""
+    shape, read off its annotated fields, into SHAPES, and its free_vars and
+    is_first_order clauses, built from that shape, into _FREE_VARS and
+    _IS_FIRST_ORDER.  A class is not first-order until _FIRST_ORDER names it,
+    which only the classes defined in this module can be."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         super().__init_subclass__()
-        SHAPES[cls] = Shape(cls)
+        SHAPES[cls] = shape = Shape(cls)
+        _FREE_VARS[cls] = _free_vars_clause(shape)
+        _IS_FIRST_ORDER[cls] = _not_first_order
 
 
 # --- the shape table ----------------------------------------------------------
@@ -151,8 +160,9 @@ _KINDS = {Formula: SUB, Var: BINDER, Term: TERM,
 
 def _values(names):
     """node -> tuple of the values of the named fields.  An attrgetter, not a
-    loop over the names: free_vars and is_first_order run under every
-    evaluation, and with a loop free_vars takes 1.6 times as long."""
+    loop over the names: the readers run at every node that substitute,
+    expand_sugar, match or subformulas visits, and at every two-subformula
+    node of free_vars and is_first_order."""
     if not names:
         return lambda phi: ()
     get = attrgetter(*names)
@@ -176,13 +186,81 @@ class Shape:
         self.vars_only = bool(named(VARS))
         self.children = _values(named(SUB))
         if named(TERMS, VARS):  # no class has both single terms and term sequences
-            sequences = _values(named(TERMS, VARS))
-            self.terms = lambda phi: sum(sequences(phi), ())
+            sequences = named(TERMS, VARS)
+            self.terms = (attrgetter(*sequences) if len(sequences) == 1 else
+                          lambda phi, get=_values(sequences): sum(get(phi), ()))
         else:
             self.terms = _values(named(BINDER, TERM))
 
 
 SHAPES = {}  # formula node class -> Shape, in the order the classes are defined
+_FREE_VARS = {}  # formula node class -> its free_vars clause
+_IS_FIRST_ORDER = {}  # formula node class -> its is_first_order clause
+
+
+def _free_vars_clause(shape):
+    """node -> a new set of its free Vars, for the nodes of one shape.  The
+    clause recurses through the module-level free_vars, so a wrapper put
+    there sees every call.  The shapes of the classes here get a clause that
+    knows where their variables are; any other shape gets the walk over its
+    children and terms."""
+    subs = tuple(name for name, kind in shape.fields if kind == SUB)
+    term_fields = {name: kind for name, kind in shape.fields if kind not in (SUB, LABEL)}
+    terms, kids, binder = shape.terms, shape.children, shape.binder
+    if not subs and binder is None:
+        if set(term_fields.values()) <= {VARS}:  # Dep, Ind, Inc, Gen, Bot, Top
+            return lambda phi: set(terms(phi))
+        return lambda phi: {t for t in terms(phi) if type(t) is Var}
+    if len(subs) == 1 and not term_fields:
+        sub = attrgetter(*subs)
+        return lambda phi: free_vars(sub(phi))
+    if len(subs) == 1 and list(term_fields) == [binder]:
+        sub, bound = attrgetter(*subs), attrgetter(binder)
+
+        def clause(phi):
+            out = free_vars(sub(phi))
+            out.discard(bound(phi))
+            return out
+        return clause
+    if len(subs) == 2 and not term_fields:
+        def clause(phi):
+            left, right = kids(phi)
+            out = free_vars(left)
+            out |= free_vars(right)
+            return out
+        return clause
+
+    def clause(phi):
+        out = {t for t in terms(phi) if type(t) is Var}
+        for c in kids(phi):
+            out |= free_vars(c)
+        if binder is not None:
+            out.discard(getattr(phi, binder))
+        return out
+    return clause
+
+
+def _first_order_clause(shape):
+    """node -> whether it is first-order, for the nodes of one first-order
+    class: a leaf is, a compound node is iff its subformulas are (through
+    the module-level is_first_order, as free_vars recurses)."""
+    subs = tuple(name for name, kind in shape.fields if kind == SUB)
+    if not subs:
+        return lambda phi: True
+    if len(subs) == 1:
+        sub = attrgetter(*subs)
+        return lambda phi: is_first_order(sub(phi))
+    kids = shape.children
+    if len(subs) == 2:
+        def clause(phi):
+            left, right = kids(phi)
+            return is_first_order(left) and is_first_order(right)
+        return clause
+    return lambda phi: all(map(is_first_order, kids(phi)))
+
+
+def _not_first_order(phi):
+    return False
 
 
 # --- the formula node classes -------------------------------------------------
@@ -441,14 +519,8 @@ def forall_block(vs, body):
 
 
 def free_vars(phi):
-    """The set of free Var objects of a formula."""
-    shape = SHAPES[type(phi)]
-    out = {t for t in shape.terms(phi) if type(t) is Var}
-    for c in shape.children(phi):
-        out |= free_vars(c)
-    if shape.binder is not None:
-        out.discard(getattr(phi, shape.binder))
-    return out
+    """The set of free Var objects of a formula, a new set on every call."""
+    return _FREE_VARS[type(phi)](phi)
 
 
 def sorted_free_vars(phi):
@@ -499,12 +571,13 @@ def substitute(phi, sigma):
 
 _FIRST_ORDER = frozenset((FOAtom, NegFOAtom, Eq, NegEq, Bot, Top, SeqEq, SeqNeq,
                           And, SplitOr, Implies, Exists, Forall))
+_IS_FIRST_ORDER.update((cls, _first_order_clause(SHAPES[cls])) for cls in _FIRST_ORDER)
 
 
 def is_first_order(phi):
     """True iff phi uses only FO literals, bot/top, /\\, \\/, E, A (sugar over
     FO parts counts as FO)."""
-    return type(phi) in _FIRST_ORDER and all(map(is_first_order, children(phi)))
+    return _IS_FIRST_ORDER[type(phi)](phi)
 
 
 class NotFirstOrderError(ValueError):

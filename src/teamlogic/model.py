@@ -103,6 +103,8 @@ def parse_model(text):
             continue
         current = None
         if parts[0] == "domain":
+            if domain is not None:
+                raise ModelError("duplicate domain line: %r" % raw)
             domain = parts[1:]
             if not domain:
                 raise ModelError("empty domain")
@@ -110,6 +112,8 @@ def parse_model(text):
             holds = parts[3:] == ["holds"]
             if len(parts) != 3 and not (holds and parts[2] == "0"):
                 raise ModelError("rel line needs NAME ARITY or NAME 0 holds: %r" % raw)
+            if not parts[2].isdecimal():
+                raise ModelError("rel line needs a nonnegative integer arity: %r" % raw)
             name, arity = parts[1], int(parts[2])
             if name in rels:
                 raise ModelError("relation %s declared twice" % name)

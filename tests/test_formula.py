@@ -1,17 +1,19 @@
 import copy
+import gc
 import pickle
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from teamlogic.checks import gen_full
+from teamlogic import formula
+from teamlogic.checks import gen_downward, gen_fo, gen_full, gen_so_friendly
 from teamlogic.formula import (_FIRST_ORDER, SHAPES, And, Bot, BoolOr, Const,
                                Dep, Eq, Exists, Exists1, FOAtom, Forall,
                                Forall1, Formula, Gen, Implies, Inc, Ind,
                                NegEq, NegFOAtom, NotFirstOrderError, SeqEq,
-                               SeqNeq, SplitOr, SubstitutionError, Top, Var,
-                               WNeg, alpha_equal,
+                               SeqNeq, SplitOr, SubstitutionError, Term, Top,
+                               Var, WNeg, alpha_equal,
                                children, exists_block, exists_prefix,
                                expand_sugar, fo_negate, free_vars,
                                fresh_var, is_first_order, rebuild,
@@ -246,3 +248,107 @@ def test_exists_prefix_inverts_exists_block(seed, vs):
     prefix, body = exists_prefix(phi)
     assert exists_block(prefix, body) == phi
     assert prefix[:len(vs)] == tuple(vs) and not isinstance(body, Exists)
+
+
+# --- the compiled free_vars and is_first_order against the generic walks ------
+
+
+def _reference_free_vars(phi):
+    """free_vars as one walk over the shape table: the terms that are Vars,
+    the free variables of the subformulas, less the bound variable."""
+    shape = SHAPES[type(phi)]
+    out = {t for t in shape.terms(phi) if type(t) is Var}
+    for c in shape.children(phi):
+        out |= _reference_free_vars(c)
+    if shape.binder is not None:
+        out.discard(getattr(phi, shape.binder))
+    return out
+
+
+def _reference_is_first_order(phi):
+    return type(phi) in _FIRST_ORDER and all(map(_reference_is_first_order, children(phi)))
+
+
+def _assert_walks_agree(phi):
+    got, expected = free_vars(phi), _reference_free_vars(phi)
+    assert got == expected and all(type(v) is Var for v in got)
+    got.add(Var("added"))  # each call returns a new set
+    assert free_vars(phi) == expected
+    assert is_first_order(phi) is _reference_is_first_order(phi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.sampled_from([gen_fo, gen_downward, gen_full, gen_so_friendly]))
+def test_compiled_walks_agree_with_the_generic_walks(seed, gen):
+    phi = gen(random.Random(seed))
+    for node in formula.subformulas(phi):
+        _assert_walks_agree(node)
+
+
+@pytest.mark.parametrize("phi", ONE_OF_EACH + [
+    FOAtom("R", (c, x, c)), Eq(c, c), SeqEq((c, y), (x, c)), SeqNeq((c,), (z,)),
+    Gen("g", ()), Ind((x,), (z,), (y, x)), WNeg(Exists(x, Eq(x, y))),
+    Implies(Exists(y, Eq(x, y)), Forall(x, Inc((x,), (z,)))),
+    And(Eq(x, y), Exists(x, Eq(x, z))), Exists(x, Exists(x, Eq(x, y))),
+], ids=lambda phi: type(phi).__name__)
+def test_compiled_walks_agree_on_every_shape(phi):
+    _assert_walks_agree(phi)
+
+
+def test_a_bound_variable_free_elsewhere_stays_free():
+    assert free_vars(And(Eq(x, y), Exists(x, Eq(x, z)))) == {x, y, z}
+    assert free_vars(SplitOr(Exists(x, Eq(x, z)), Eq(x, y))) == {x, y, z}
+    assert free_vars(Forall(x, And(Eq(x, y), Exists(y, Eq(x, y))))) == {y}
+
+
+@pytest.fixture
+def later_classes():
+    """Put the shape and clause tables back after a test has defined node
+    classes, and collect those classes, so that Formula.__subclasses__()
+    again lists the classes of SHAPES only."""
+    tables = (SHAPES, formula._FREE_VARS, formula._IS_FIRST_ORDER)
+    saved = [dict(table) for table in tables]
+    yield
+    for table, before in zip(tables, saved):
+        table.clear()
+        table.update(before)
+    gc.collect()
+
+
+def test_a_node_class_defined_after_import_gets_both_walks(later_classes):
+    class Box(Formula):  # one subformula, as WNeg
+        body: Formula
+
+    class Pair(Formula):  # a label and two subformulas
+        name: str
+        l: Formula
+        r: Formula
+
+    class Guarded(Formula):  # a binder and two subformulas: no class above has it
+        v: Var
+        guard: Formula
+        body: Formula
+
+    class Tagged(Formula):  # a term beside a subformula
+        t: Term
+        body: Formula
+
+    class Cols(Formula):  # variables only
+        xs: tuple[Var, ...]
+        ys: tuple[Var, ...]
+
+    cases = [
+        (Box(Eq(x, y)), {x, y}),
+        (Pair("p", Eq(x, c), Exists(z, Eq(z, y))), {x, y}),
+        (Guarded(x, Eq(x, y), FOAtom("P", (x, z))), {y, z}),
+        (Tagged(z, Exists(z, Eq(z, x))), {x, z}),
+        (Tagged(c, Top()), set()),
+        (Cols((x,), (y, x)), {x, y}),
+    ]
+    for phi, expected in cases:
+        assert free_vars(phi) == expected
+        assert free_vars(And(phi, Eq(y, y))) == expected | {y}
+        assert free_vars(Exists(x, phi)) == expected - {x}
+        assert is_first_order(phi) is False and not is_first_order(SplitOr(Top(), phi))
+        _assert_walks_agree(phi)

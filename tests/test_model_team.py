@@ -300,6 +300,19 @@ def test_parse_model_rejects_repeated_and_outside_constants():
     assert parse_model("domain a b\nconst c b\nconst d a\n").consts == {"c": "b", "d": "a"}
 
 
+@pytest.mark.parametrize("text, message", [
+    ("domain a b\nrel P 1\n  a\ndomain a c\n", "duplicate domain line: 'domain a c'"),
+    ("domain a\ndomain a\n", "duplicate domain line: 'domain a'"),
+    ("domain a b\nrel P x\n", "rel line needs a nonnegative integer arity: 'rel P x'"),
+    ("domain a b\nrel P -1\n", "rel line needs a nonnegative integer arity: 'rel P -1'"),
+    ("domain a b\nrel P +1\n  a\n", "rel line needs a nonnegative integer arity: 'rel P +1'"),
+])
+def test_parse_model_refuses_a_second_domain_and_a_bad_arity(text, message):
+    with pytest.raises(ModelError) as refused:
+        parse_model(text)
+    assert str(refused.value) == message
+
+
 _team_values = st.sampled_from(["0", "1", "a", "e2"])
 
 
