@@ -3,7 +3,8 @@
 from .formula import (And, Bot, BoolOr, Const, Dep, Eq, Exists, Exists1,
                       FOAtom, Forall, Forall1, Gen, Implies, Inc, Ind, NegEq,
                       NegFOAtom, SeqEq, SeqNeq, SplitOr, Top, Var, WNeg,
-                      expand_sugar, fo_negate, free_vars, is_first_order)
+                      expand_sugar, fo_negate, free_names, free_vars,
+                      is_first_order, sorted_free_vars)
 from .parser import ParseError, parse_formula, print_formula
 from .model import Model, ModelError, Signature, enumerate_models, parse_model, print_model
 from .team import (Team, TeamError, all_teams, duplicate, parse_team,

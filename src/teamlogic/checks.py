@@ -12,7 +12,7 @@ import random
 
 from .formula import (SHAPES, And, BoolOr, Dep, Eq, Exists, Exists1, FOAtom,
                       Forall, Forall1, Inc, Ind, NegEq, NegFOAtom, SplitOr,
-                      Var, WNeg, fo_negate, fresh_var, sorted_free_vars)
+                      Var, WNeg, fo_negate, free_names, fresh_var)
 from .genatom import (build_inc, build_pro, complement, duplicating_team,
                       eval_direct, make_dep, make_inc, make_ind,
                       sigma_pi_translate, simulating_team)
@@ -137,8 +137,7 @@ def _assignments(model, variables):
 
 
 def _team_vars(phi):
-    fv = {v.name for v in sorted_free_vars(phi)}
-    return tuple(sorted(fv | {"x"}))
+    return tuple(sorted(free_names(phi) | {"x"}))
 
 
 # --- the suites ---------------------------------------------------------------
@@ -213,7 +212,7 @@ def suite_locality(seed=0, runs=100):
     failures = []
     for i in range(runs):
         phi = gen_full(rng, depth=2)
-        fv = tuple(sorted({v.name for v in sorted_free_vars(phi)}))
+        fv = tuple(sorted(free_names(phi)))
         wide = tuple(sorted(set(fv) | {"x", "pad"}))
         X = _random_team(rng, model, wide, max_rows=4)
         try:

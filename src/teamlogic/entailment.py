@@ -12,7 +12,7 @@ counts and the witness are those of testing in the given order.
 import copy
 import itertools
 
-from .formula import Const, FOAtom, Gen, NegFOAtom, free_vars, subformulas, terms
+from .formula import Const, FOAtom, Gen, NegFOAtom, free_names, subformulas, terms
 from .model import Signature, enumerate_models
 from .semantics import EvalBudget, EvalError, Evaluator
 from .team import all_teams, sample_small_teams, sample_teams
@@ -105,7 +105,7 @@ def entails_bounded(hypotheses, conclusion, max_domain=2, team_cap=16,
     given = [(h, True) for h in formulas[:-1]] + [(conclusion, False)]
     order = given[:]
     sig = mentioned_signature(formulas, registry)
-    variables = sorted({v.name for phi in formulas for v in free_vars(phi)})
+    variables = sorted(set().union(*map(free_names, formulas)))
     budget = budget or EvalBudget()
     n_models = n_teams = 0
     notes = []

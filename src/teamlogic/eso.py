@@ -17,8 +17,7 @@ import itertools
 from .formula import (And, BoolOr, Eq, Exists, Exists1, FOAtom, Forall,
                       Forall1, Gen, Implies, Inc, Ind, NegFOAtom, SplitOr, Top,
                       Var, WNeg, children, conj, exists_block, forall_block,
-                      fresh_var, is_first_order, rebuild, sorted_free_vars,
-                      terms)
+                      free_names, fresh_var, is_first_order, rebuild, terms)
 from .genatom import atom_def_of, eso_atom_matrix
 from .model import ModelError, expand_with_relation
 from .team import rel as team_rel
@@ -82,8 +81,9 @@ def _tau(phi, fv, member, registry):
         d, args = pair
         return (), eso_atom_matrix(d, _atom_member(args, fv, member))
     if isinstance(phi, (And, BoolOr)):
-        so1, m1 = _tau(phi.l, _fv(phi.l), _project(member, fv, _fv(phi.l)), registry)
-        so2, m2 = _tau(phi.r, _fv(phi.r), _project(member, fv, _fv(phi.r)), registry)
+        fl, fr = _fv(phi.l), _fv(phi.r)
+        so1, m1 = _tau(phi.l, fl, _project(member, fv, fl), registry)
+        so2, m2 = _tau(phi.r, fr, _project(member, fv, fr), registry)
         joined = And(m1, m2) if isinstance(phi, And) else SplitOr(m1, m2)
         return so1 + so2, joined
     if isinstance(phi, SplitOr):
@@ -105,7 +105,7 @@ def _tau(phi, fv, member, registry):
 
 
 def _fv(phi):
-    return [v.name for v in sorted_free_vars(phi)]
+    return sorted(free_names(phi))
 
 
 def _project(member, fv, sub_fv):

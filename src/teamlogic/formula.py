@@ -15,19 +15,22 @@ field a sequence of terms and a tuple[Var, ...] field a sequence of variables
 only (the arguments of Dep, Ind, Inc and Gen); any other field (the name of a
 relation or atom) is a label.  children, terms and rebuild read the table,
 and so do the traversals over it: substitute, expand_sugar, subformulas and
-match.  free_vars and is_first_order, which run under every evaluation, do
-not walk the table: when a class is created, one clause of each is built
-from its shape (a binder's body minus the bound variable, the union of two
-subformulas, the Vars of a leaf's terms, ...), and the two functions call
-the clause of type(phi).  A new node class needs nothing more here than its
-annotated fields (and, if it is first-order, its entry in _FIRST_ORDER and
-its dual in _FO_DUALS); the clauses that give it a meaning (the evaluator,
-the printer) are written out where they live.
+match.  free_names and is_first_order, which run under every evaluation,
+do not walk the table: when a class is created, one clause of each is built
+from its shape (a binder's body minus the bound name, the union of two
+subformulas, the names of a leaf's variables, ...), and the two functions
+call the clause of type(phi).  free_names is the one free-variable walk; its
+sets of str hash in C, and free_vars and sorted_free_vars wrap it to give
+Vars.  A new node class needs nothing more here than its annotated fields
+(and, if it is first-order, its entry in _FIRST_ORDER and its dual in
+_FO_DUALS); the clauses that give it a meaning (the evaluator, the printer)
+are written out where they live.
 """
 
 from operator import attrgetter
 
 _set = object.__setattr__
+_name = attrgetter("name")
 
 
 def _init(cls, _check):
@@ -137,8 +140,8 @@ Term = Var | Const
 
 class Formula(Node):
     """Base class of the formula nodes.  Creating a subclass enters its
-    shape, read off its annotated fields, into SHAPES, and its free_vars and
-    is_first_order clauses, built from that shape, into _FREE_VARS and
+    shape, read off its annotated fields, into SHAPES, and its free_names and
+    is_first_order clauses, built from that shape, into _FREE_NAMES and
     _IS_FIRST_ORDER.  A class is not first-order until _FIRST_ORDER names it,
     which only the classes defined in this module can be."""
 
@@ -147,7 +150,7 @@ class Formula(Node):
     def __init_subclass__(cls):
         super().__init_subclass__()
         SHAPES[cls] = shape = Shape(cls)
-        _FREE_VARS[cls] = _free_vars_clause(shape)
+        _FREE_NAMES[cls] = _free_names_clause(shape)
         _IS_FIRST_ORDER[cls] = _not_first_order
 
 
@@ -162,7 +165,7 @@ def _values(names):
     """node -> tuple of the values of the named fields.  An attrgetter, not a
     loop over the names: the readers run at every node that substitute,
     expand_sugar, match or subformulas visits, and at every two-subformula
-    node of free_vars and is_first_order."""
+    node of free_names and is_first_order."""
     if not names:
         return lambda phi: ()
     get = attrgetter(*names)
@@ -194,48 +197,48 @@ class Shape:
 
 
 SHAPES = {}  # formula node class -> Shape, in the order the classes are defined
-_FREE_VARS = {}  # formula node class -> its free_vars clause
+_FREE_NAMES = {}  # formula node class -> its free_names clause
 _IS_FIRST_ORDER = {}  # formula node class -> its is_first_order clause
 
 
-def _free_vars_clause(shape):
-    """node -> a new set of its free Vars, for the nodes of one shape.  The
-    clause recurses through the module-level free_vars, so a wrapper put
-    there sees every call.  The shapes of the classes here get a clause that
-    knows where their variables are; any other shape gets the walk over its
-    children and terms."""
+def _free_names_clause(shape):
+    """node -> a new set of the names of its free variables, for the nodes
+    of one shape.  The clause recurses through the module-level free_names,
+    so a wrapper put there sees every call.  The shapes of the classes here
+    get a clause that knows where their variables are; any other shape gets
+    the walk over its children and terms."""
     subs = tuple(name for name, kind in shape.fields if kind == SUB)
     term_fields = {name: kind for name, kind in shape.fields if kind not in (SUB, LABEL)}
     terms, kids, binder = shape.terms, shape.children, shape.binder
     if not subs and binder is None:
         if set(term_fields.values()) <= {VARS}:  # Dep, Ind, Inc, Gen, Bot, Top
-            return lambda phi: set(terms(phi))
-        return lambda phi: {t for t in terms(phi) if type(t) is Var}
+            return lambda phi: set(map(_name, terms(phi)))
+        return lambda phi: {t.name for t in terms(phi) if type(t) is Var}
     if len(subs) == 1 and not term_fields:
         sub = attrgetter(*subs)
-        return lambda phi: free_vars(sub(phi))
+        return lambda phi: free_names(sub(phi))
     if len(subs) == 1 and list(term_fields) == [binder]:
-        sub, bound = attrgetter(*subs), attrgetter(binder)
+        sub, bound = attrgetter(*subs), attrgetter(binder + ".name")
 
         def clause(phi):
-            out = free_vars(sub(phi))
+            out = free_names(sub(phi))
             out.discard(bound(phi))
             return out
         return clause
     if len(subs) == 2 and not term_fields:
         def clause(phi):
             left, right = kids(phi)
-            out = free_vars(left)
-            out |= free_vars(right)
+            out = free_names(left)
+            out |= free_names(right)
             return out
         return clause
 
     def clause(phi):
-        out = {t for t in terms(phi) if type(t) is Var}
+        out = {t.name for t in terms(phi) if type(t) is Var}
         for c in kids(phi):
-            out |= free_vars(c)
+            out |= free_names(c)
         if binder is not None:
-            out.discard(getattr(phi, binder))
+            out.discard(getattr(phi, binder).name)
         return out
     return clause
 
@@ -243,7 +246,7 @@ def _free_vars_clause(shape):
 def _first_order_clause(shape):
     """node -> whether it is first-order, for the nodes of one first-order
     class: a leaf is, a compound node is iff its subformulas are (through
-    the module-level is_first_order, as free_vars recurses)."""
+    the module-level is_first_order, as free_names recurses)."""
     subs = tuple(name for name, kind in shape.fields if kind == SUB)
     if not subs:
         return lambda phi: True
@@ -518,13 +521,18 @@ def forall_block(vs, body):
     return body
 
 
+def free_names(phi):
+    """The names of phi's free variables, a new set on every call."""
+    return _FREE_NAMES[type(phi)](phi)
+
+
 def free_vars(phi):
-    """The set of free Var objects of a formula, a new set on every call."""
-    return _FREE_VARS[type(phi)](phi)
+    """The set of free Vars of a formula, built from free_names."""
+    return set(map(Var, free_names(phi)))
 
 
 def sorted_free_vars(phi):
-    return tuple(sorted(free_vars(phi), key=lambda v: v.name))
+    return tuple(map(Var, sorted(free_names(phi))))
 
 
 _fresh_counter = [0]
@@ -555,8 +563,8 @@ def substitute(phi, sigma):
         if not inner:
             return phi
         (body,) = shape.children(phi)
-        fv = free_vars(body)
-        if any(t == v for u, t in inner.items() if u in fv):
+        fv = free_names(body)
+        if any(t == v for u, t in inner.items() if u.name in fv):
             v2 = fresh_var(v.name.split("$")[0])
             body = substitute(body, {v: v2})
             v = v2

@@ -18,7 +18,7 @@ import itertools
 import re
 
 from .formula import (And, Dep, Eq, Implies, Inc, Ind, Top, Var, conj,
-                      exists_block, fo_negate, forall_block, free_vars,
+                      exists_block, fo_negate, forall_block, free_names,
                       is_first_order)
 from .team import Team, rel as team_rel
 
@@ -32,8 +32,10 @@ class AtomDefError(ValueError):
     pass
 
 
+@functools.cache
 def wvar(i, j, l):
-    """The grid variable for round i, row j, coordinate l (all 1-based)."""
+    """The grid variable for round i, row j, coordinate l (all 1-based).
+    Pure, and Vars are immutable, so each is built once per process."""
     return Var("w$%d$%d$%d" % (i, j, l))
 
 
@@ -51,7 +53,7 @@ class GeneralizedAtomDef:
                 for i in range(1, n + 1)
                 for j in range(1, k[i - 1] + 1)
                 for l in range(1, m + 1)}
-        stray = {v.name for v in free_vars(phiR)} - grid
+        stray = free_names(phiR) - grid
         if stray:
             raise AtomDefError("defining formula mentions non-grid variables %s"
                                % sorted(stray))

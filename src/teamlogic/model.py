@@ -130,6 +130,9 @@ def parse_model(text):
             raise ModelError("unrecognized line: %r" % raw)
     if domain is None:
         raise ModelError("missing domain line")
+    both = sorted(rels.keys() & consts.keys())
+    if both:
+        raise ModelError("%s declared as both a relation and a constant" % ", ".join(both))
     return Model(domain, rels, consts)
 
 

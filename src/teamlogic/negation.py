@@ -10,8 +10,8 @@ out the synthesis.
 """
 
 from .formula import (And, Bot, BoolOr, Dep, Exists1, Forall1, Gen, Inc, Ind,
-                      Var, WNeg, children, exists_block, fo_negate, free_vars,
-                      is_first_order, sorted_free_vars, substitute, terms)
+                      Var, WNeg, children, exists_block, fo_negate, free_names,
+                      is_first_order, substitute, terms)
 from .genatom import atom_def_of, complement, sigma_pi_translate
 
 
@@ -89,10 +89,10 @@ def _wneg_fo(phi):
     iff some value combination of the team refutes it: quantify a fresh copy
     of the free variables, included in the originals, satisfying the
     negation."""
-    xs = sorted_free_vars(phi)
+    used = free_names(phi)
+    xs = list(map(Var, sorted(used)))
     if not xs:
         return fo_negate(phi)
-    used = {v.name for v in free_vars(phi)}
     ws = []
     i = 1
     while len(ws) < len(xs):

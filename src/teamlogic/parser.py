@@ -290,12 +290,8 @@ def parse_formula(text, constants=(), atoms=None, expand=True, allow_reserved=Fa
 # --- printer ----------------------------------------------------------------
 
 
-def _pterm(t):
-    return t.name
-
-
 def _pseq(ts):
-    return ",".join(_pterm(t) for t in ts)
+    return ",".join([t.name for t in ts])
 
 
 def print_formula(phi):
@@ -316,8 +312,8 @@ def _quantifier(q):
 
 
 def _sequences(op):
-    return lambda phi: "(%s %s %s)" % (" ".join(map(_pterm, phi.xs)), op,
-                                      " ".join(map(_pterm, phi.ys)))
+    return lambda phi: "(%s %s %s)" % (" ".join([t.name for t in phi.xs]), op,
+                                      " ".join([t.name for t in phi.ys]))
 
 
 # The clauses of print_formula, one per node class.  Like those of
@@ -325,8 +321,8 @@ def _sequences(op):
 _PRINT = {
     FOAtom: lambda phi: "%s(%s)" % (phi.rel, _pseq(phi.args)),
     NegFOAtom: lambda phi: "!%s(%s)" % (phi.rel, _pseq(phi.args)),
-    Eq: lambda phi: "(%s = %s)" % (_pterm(phi.lhs), _pterm(phi.rhs)),
-    NegEq: lambda phi: "(%s != %s)" % (_pterm(phi.lhs), _pterm(phi.rhs)),
+    Eq: lambda phi: "(%s = %s)" % (phi.lhs.name, phi.rhs.name),
+    NegEq: lambda phi: "(%s != %s)" % (phi.lhs.name, phi.rhs.name),
     Bot: lambda phi: "bot",
     Top: lambda phi: "top",
     Dep: lambda phi: "=(%s ; %s)" % (_pseq(phi.determiners), _pseq(phi.dependent)),

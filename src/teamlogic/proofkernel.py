@@ -37,7 +37,7 @@ import itertools
 from .formula import (And, Bot, Const, Dep, Eq, Exists, FOAtom, Gen,
                       Implies, Inc, Ind, NegEq, NegFOAtom, SeqEq, SplitOr,
                       SubstitutionError, Top, Var, alpha_equal, exists_block,
-                      exists_prefix, expand_sugar, free_vars, match,
+                      exists_prefix, expand_sugar, free_names, match,
                       subformulas, substitute, terms)
 from .negation import NotNegatableError, wneg
 
@@ -249,14 +249,14 @@ def _exe(ck, st):
     eigen = [mapping.get(v, v) for v in vs[:n]]
     if len(set(eigen)) != len(eigen):
         raise ProofError("eigenvariables must be distinct")
-    eigenset = set(eigen)
-    if eigenset & free_vars(st.formula):
+    eigenset = {v.name for v in eigen}
+    if eigenset & free_names(st.formula):
         raise ProofError("eigenvariable occurs free in the conclusion")
-    if eigenset & free_vars(src):
+    if eigenset & free_names(src):
         raise ProofError("eigenvariable occurs free in the cited formula")
     for s in ck.script.steps.values():
         if (s.num < blk.num and _in_scope(s.scope, blk)
-                and eigenset & free_vars(s.formula)):
+                and eigenset & free_names(s.formula)):
             raise ProofError("eigenvariable occurs free in an open assumption")
     if not alpha_equal(expand_sugar(blk.last), expand_sugar(st.formula)):
         raise ProofError("conclusion differs from the subproof's last formula")
@@ -337,8 +337,8 @@ def _inde(ck, st):
         raise ProofError("IndE conclusion must bind %d fresh variables" % total)
     if len(set(fresh)) != len(fresh):
         raise ProofError("IndE bound variables must be distinct")
-    outside = (set(free_vars(atom)) | set(free_vars(i1)) | set(free_vars(i2)))
-    if set(fresh) & outside:
+    outside = free_names(atom) | free_names(i1) | free_names(i2)
+    if outside.intersection(v.name for v in fresh):
         raise ProofError("IndE bound variables must be fresh")
     cons = _seq_eq(fresh[:k], w1 + u2 + v2)
     guard = cons if not atom.zs else Implies(_seq_eq(v1, v2), cons)

@@ -52,7 +52,7 @@ import operator
 from .formula import (And, Bot, BoolOr, Const, Dep, Eq, Exists, Exists1,
                       FOAtom, Forall, Forall1, Implies, Inc, Ind, NegEq,
                       NegFOAtom, SeqEq, SeqNeq, SplitOr, Top, Var, WNeg, Gen,
-                      exists_prefix, free_vars, is_first_order)
+                      exists_prefix, free_names, is_first_order)
 from .team import Team, _generated, all_supplements, duplicate, set_var
 
 
@@ -274,7 +274,7 @@ class Evaluator:
         self.literal = literal
         self._clauses = _DEFINING if literal else _FAST
         self._plans = {}  # (phi, team variables) -> _Plan
-        self._free = {}  # formula -> its free variables, for _eval_exists
+        self._free = {}  # formula -> its free variable names, for _eval_exists
         self._last = None, None, None  # phi, X.vars and the plan eval last ran
 
     def eval(self, X, phi):
@@ -290,19 +290,19 @@ class Evaluator:
             key = (phi, X.vars)
             plan = self._plans.get(key)
             if plan is None:
-                missing = {v.name for v in free_vars(phi)}.difference(X.vars)
+                missing = free_names(phi).difference(X.vars)
                 if missing:
                     raise EvalError("free variables %s not in team domain" % sorted(missing))
                 plan = self._plans[key] = self._plan(phi, X.vars)
             self._last = phi, X.vars, plan
         return plan.run(self, plan, X)
 
-    def _free_vars(self, phi):
-        """free_vars(phi), walked once per evaluator: _exists_facts and
+    def _free_names(self, phi):
+        """free_names(phi), walked once per evaluator: _exists_facts and
         _collect_block read the conjuncts of nested existentials from here."""
         fv = self._free.get(phi)
         if fv is None:
-            fv = self._free[phi] = free_vars(phi)
+            fv = self._free[phi] = free_names(phi)
         return fv
 
     def _visit(self, X, phi):
@@ -396,13 +396,13 @@ class Evaluator:
         variables of each, then the block, collected once the conjuncts
         without x hold."""
         phi = plan.phi
-        facts = plan.facts or _built(plan, _exists_facts(phi, self._free_vars))
+        facts = plan.facts or _built(plan, _exists_facts(phi, self._free_names))
         local, conjuncts, fvs, block = facts
         for c in local:
             if not self._visit(X, c):
                 return False
         if block is None:
-            block = facts[3] = _collect_block(phi, plan.vars, conjuncts, fvs, self._free_vars)
+            block = facts[3] = _collect_block(phi, plan.vars, conjuncts, fvs, self._free_names)
         if block:
             return self._solve_block(X, block)
         return self._eval_exists_fallback(plan, X)
@@ -542,10 +542,10 @@ def _value_sets(domain):
 
 def _exists_facts(phi, free):
     """_eval_exists's facts for E x phi.body, the block not yet collected;
-    free(c) gives the free variables of a conjunct c."""
+    free(c) gives the free variable names of a conjunct c."""
     conjuncts = _flatten_and(phi.body)
     fvs = [free(c) for c in conjuncts]
-    return [[c for c, fv in zip(conjuncts, fvs) if phi.v not in fv], conjuncts, fvs, None]
+    return [[c for c, fv in zip(conjuncts, fvs) if phi.v.name not in fv], conjuncts, fvs, None]
 
 
 def _first_order_side(ev, plan):
@@ -681,8 +681,8 @@ _FAST = {**_DEFINING, SplitOr: Evaluator._eval_split, Exists: Evaluator._eval_ex
 
 def _collect_block(phi, team_vars, conjuncts, fvs, free):
     """Gather E x1 ... E xn (conjunction) from phi and phi.body's conjuncts
-    and their free variables fvs (free(c) gives those of any other conjunct
-    c), hoisting nested fresh existentials out of conjuncts, as (bound
+    and their free variable names fvs (free(c) gives those of any other
+    conjunct c), hoisting nested fresh existentials out of conjuncts, as (bound
     variable names, conjuncts, and among these the first-order formulas,
     inclusion, unconditional independence and constancy atoms); False if a
     binder or a conjunct does not fit."""
@@ -699,7 +699,7 @@ def _collect_block(phi, team_vars, conjuncts, fvs, free):
             inner_vs, inner = exists_prefix(conjuncts[i])
             inner_bound = {v.name for v in inner_vs}
             others = fvs[:i] + fvs[i + 1:]
-            used = set(bound).union(team_vars, *({v.name for v in fv} for fv in others))
+            used = set(bound).union(team_vars, *others)
             if len(inner_bound) == len(inner_vs) and not inner_bound & used:
                 bound.extend(v.name for v in inner_vs)
                 hoisted = _flatten_and(inner)

@@ -1,4 +1,7 @@
+import json
 import os
+import random
+import re
 import shutil
 import subprocess
 import sys
@@ -7,7 +10,11 @@ from pathlib import Path
 
 import pytest
 
+from teamlogic.checks import gen_downward, gen_so_friendly
 from teamlogic.cli import main
+from teamlogic.formula import children
+from teamlogic.negation import is_negatable_fragment
+from teamlogic.parser import print_formula
 
 MODEL = "domain 0 1\nrel P 1\n  1\n"
 TEAM_OK = "vars x y\nrow 0 0\nrow 1 1\n"
@@ -391,3 +398,37 @@ def test_atom_commands_print_the_same_bytes_when_repeated(capsys):
         return outs
 
     assert one_round() == one_round()
+
+
+# negate and translate of 20 seeded compound formulas: the first negatable
+# gen_downward draw and then the first gen_so_friendly draw of each seed.
+# The outputs were captured from the CLI; fresh-variable counters depend on
+# what ran before in the process, so `$N` is normalized to `$` on both sides.
+GOLDEN_DRAWS = REPO / "tests" / "golden" / "cli_draws.json"
+
+
+def _compound_draw(rng, gen, keep=lambda phi: True):
+    while True:
+        phi = gen(rng)
+        if children(phi) and keep(phi):
+            return phi
+
+
+def _golden_draws(seed):
+    rng = random.Random(seed)
+    return [("negate", _compound_draw(rng, gen_downward, is_negatable_fragment)),
+            ("translate", _compound_draw(rng, gen_so_friendly))]
+
+
+def _normalized_output(command, phi, capsys):
+    assert main([command, "--formula", print_formula(phi)]) == 0
+    return re.sub(r"\$\d+", "$", capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_negate_and_translate_of_seeded_draws_are_unchanged(seed, capsys):
+    golden = json.loads(GOLDEN_DRAWS.read_text())[str(seed)]
+    got = [{"command": command, "formula": print_formula(phi),
+            "output": _normalized_output(command, phi, capsys)}
+           for command, phi in _golden_draws(seed)]
+    assert got == golden

@@ -15,7 +15,7 @@ from teamlogic.formula import (_FIRST_ORDER, SHAPES, And, Bot, BoolOr, Const,
                                SeqNeq, SplitOr, SubstitutionError, Term, Top,
                                Var, WNeg, alpha_equal,
                                children, exists_block, exists_prefix,
-                               expand_sugar, fo_negate, free_vars,
+                               expand_sugar, fo_negate, free_names, free_vars,
                                fresh_var, is_first_order, rebuild,
                                sorted_free_vars, substitute, terms)
 
@@ -250,7 +250,7 @@ def test_exists_prefix_inverts_exists_block(seed, vs):
     assert prefix[:len(vs)] == tuple(vs) and not isinstance(body, Exists)
 
 
-# --- the compiled free_vars and is_first_order against the generic walks ------
+# --- the compiled free_names and is_first_order against the generic walks -----
 
 
 def _reference_free_vars(phi):
@@ -270,10 +270,17 @@ def _reference_is_first_order(phi):
 
 
 def _assert_walks_agree(phi):
-    got, expected = free_vars(phi), _reference_free_vars(phi)
+    """free_names is the names of the reference walk's Vars, a new set on
+    each call; free_vars and sorted_free_vars are those names as Vars."""
+    expected = _reference_free_vars(phi)
+    names = {v.name for v in expected}
+    got = free_names(phi)
+    assert got == names and all(type(n) is str for n in got)
+    got.add("added")
+    assert free_names(phi) == names
+    got = free_vars(phi)
     assert got == expected and all(type(v) is Var for v in got)
-    got.add(Var("added"))  # each call returns a new set
-    assert free_vars(phi) == expected
+    assert sorted_free_vars(phi) == tuple(Var(n) for n in sorted(names))
     assert is_first_order(phi) is _reference_is_first_order(phi)
 
 
@@ -307,7 +314,7 @@ def later_classes():
     """Put the shape and clause tables back after a test has defined node
     classes, and collect those classes, so that Formula.__subclasses__()
     again lists the classes of SHAPES only."""
-    tables = (SHAPES, formula._FREE_VARS, formula._IS_FIRST_ORDER)
+    tables = (SHAPES, formula._FREE_NAMES, formula._IS_FIRST_ORDER)
     saved = [dict(table) for table in tables]
     yield
     for table, before in zip(tables, saved):

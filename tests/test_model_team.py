@@ -313,6 +313,40 @@ def test_parse_model_refuses_a_second_domain_and_a_bad_arity(text, message):
     assert str(refused.value) == message
 
 
+@pytest.mark.parametrize("text, message", [
+    ("domain a\nrel c 0 holds\nconst c a\n", "c declared as both a relation and a constant"),
+    ("domain a\nconst c a\nrel c 0 holds\n", "c declared as both a relation and a constant"),
+    ("domain a b\nconst P b\nrel P 1\n  a\n", "P declared as both a relation and a constant"),
+    ("domain a b\nrel d 2\n  a b\nrel c 0\nconst c a\nconst d b\n",
+     "c, d declared as both a relation and a constant"),
+])
+def test_parse_model_refuses_a_symbol_both_relation_and_constant(text, message):
+    with pytest.raises(ModelError) as refused:
+        parse_model(text)
+    assert str(refused.value) == message
+
+
+@st.composite
+def _models(draw):
+    domain = draw(st.lists(st.sampled_from(["a", "b", "e2"]), min_size=1, unique=True))
+    names = draw(st.lists(st.sampled_from(["c", "d", "P", "R", "T"]), unique=True))
+    split = draw(st.integers(0, len(names)))
+    rels = {}
+    for name in names[:split]:
+        arity = draw(st.integers(0, 2))
+        rels[name] = draw(st.lists(st.tuples(*[st.sampled_from(domain)] * arity)))
+    consts = {name: draw(st.sampled_from(domain)) for name in names[split:]}
+    return Model(tuple(domain), rels, consts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_models())
+def test_printed_models_with_distinct_symbols_parse_back(model):
+    text = print_model(model)
+    assert parse_model(text) == model
+    assert print_model(parse_model(text)) == text
+
+
 _team_values = st.sampled_from(["0", "1", "a", "e2"])
 
 

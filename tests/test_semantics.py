@@ -642,7 +642,7 @@ def test_an_evaluator_is_freed_without_the_cycle_collector():
 
 
 def test_per_formula_facts_are_derived_once_per_plan(monkeypatch):
-    """is_first_order, free_vars, _flatten_and and _collect_block run per
+    """is_first_order, free_names, _flatten_and and _collect_block run per
     plan, not per visit: below, each runs at most once per (subformula, team
     variables) in one evaluator, however many teams it is asked and its
     existential search visits.  It meets two tuples of team variables, (x, y)
@@ -663,12 +663,12 @@ def test_per_formula_facts_are_derived_once_per_plan(monkeypatch):
             calls[name, key(*args)] += 1
             return fn(*args)
         monkeypatch.setattr(semantics, name, wrapper)
-    for name in ("is_first_order", "free_vars", "_flatten_and"):
+    for name in ("is_first_order", "free_names", "_flatten_and"):
         count(name, lambda f: f)
     count("_collect_block", lambda f, team_vars, *rest: (f, frozenset(team_vars)))
     ev = semantics.Evaluator(M)
     assert [ev.eval(X, phi) for X in teams] == want
-    assert {name for name, _ in calls} == {"is_first_order", "free_vars", "_flatten_and",
+    assert {name for name, _ in calls} == {"is_first_order", "free_names", "_flatten_and",
                                            "_collect_block"}
     assert max(n for (name, _), n in calls.items() if name == "_collect_block") == 1
     assert max(calls.values()) <= 2, calls.most_common(3)
@@ -702,12 +702,12 @@ def test_nested_existentials_walk_each_conjunct_once(monkeypatch):
     want = [eval_formula(M, X, phi, literal=True) for X in teams]
     assert True in want and False in want
     walks = collections.Counter()
-    real = semantics.free_vars
+    real = semantics.free_names
 
     def counted(f):
         walks[f] += 1
         return real(f)
-    monkeypatch.setattr(semantics, "free_vars", counted)
+    monkeypatch.setattr(semantics, "free_names", counted)
     ev = semantics.Evaluator(M)
     assert [ev.eval(X, phi) for X in teams] == want
     assert all(walks[c] == 1 for c in conjuncts), walks
