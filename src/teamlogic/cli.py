@@ -18,7 +18,7 @@ import functools
 import sys
 
 from .checks import SUITES, run_all, run_suite
-from .entailment import entails_bounded
+from .entailment import entails_bounded, mentioned_signature
 from .eso import print_eso, tau
 from .genatom import atom_def_of, sigma_pi_translate
 from .model import parse_model, print_model
@@ -58,6 +58,13 @@ def cmd_check(args):
                 raise CliError("team value %r of variable %s is not in the "
                                "model's domain" % (value, var))
     phi = parse_formula(args.formula, constants=tuple(model.consts))
+    for name, arity in mentioned_signature([phi]).relations.items():
+        tuples = model.rels.get(name)
+        if tuples:  # an empty relation keeps no arity
+            n = len(next(iter(tuples)))
+            if n != arity:
+                raise CliError("relation %s is used with arity %d, but the "
+                               "model's %s has arity %d" % (name, arity, name, n))
     value = eval_formula(model, X, phi)
     _emit(args.machine, "satisfied" if value else "not satisfied",
           [("result", "sat" if value else "unsat")])

@@ -6,7 +6,12 @@ A team is a counterexample when it passes every test: each hypothesis must
 hold on it and the conclusion must fail.  The search tries first the test
 that last ruled a team out (move-to-front), which changes only how many
 evaluations a team costs: the models and teams visited, their order, the
-counts and the witness are those of testing in the given order.
+counts and the witness are those of testing in the given order.  A team that
+this leading test rules out costs one evaluation and one comparison; only a
+team that passes it runs the other tests.  The models of one domain size
+share one lazily built team source through a tee, used only where several
+models share the size: with no relation and no constant mentioned, each size
+has one model, which reads its source directly.
 """
 
 import copy
@@ -36,14 +41,20 @@ class EntailmentVerdict:
 
 def mentioned_signature(formulas, registry=None):
     """Relations and constants occurring in the formulas.  Generalized atoms
-    contribute the relations of their defining formulas."""
+    contribute the relations of their defining formulas.  A relation used
+    with two arities is refused (ValueError): no model interprets it as
+    both."""
     rels = {}
     consts = set()
 
     def walk(phi):
         for node in subformulas(phi):
             if isinstance(node, (FOAtom, NegFOAtom)):
-                rels[node.rel] = len(node.args)
+                n = len(node.args)
+                arity = rels.setdefault(node.rel, n)
+                if arity != n:
+                    raise ValueError("relation %s is used with arities %d and %d"
+                                     % (node.rel, min(arity, n), max(arity, n)))
             if isinstance(node, Gen) and registry and node.atom_name in registry:
                 walk(registry[node.atom_name].phiR)
             consts.update(t.name for t in terms(node) if isinstance(t, Const))
@@ -74,7 +85,9 @@ def entails_bounded(hypotheses, conclusion, max_domain=2, team_cap=16,
 
     The teams depend on the domain only, so the models of one domain size
     share them: the first model builds them lazily, up to a counterexample,
-    and the later ones replay the built teams and build on.
+    and the later ones replay the built teams and build on.  The replay
+    buffer (a tee) is kept only where several models share a size, that is
+    when a relation or a constant is mentioned.
 
     `searched` counts the models and teams tried, in total and, under
     "by_size", per domain size, where "sampled" says whether that size's
@@ -85,7 +98,8 @@ def entails_bounded(hypotheses, conclusion, max_domain=2, team_cap=16,
     from the wanted one rules the team out, and a team that passes every
     test is the witness.  The tests start in that given order, and a test
     that rules a team out moves to the front for the next team, for the
-    rest of this call.  Whether a team passes every test does not depend
+    rest of this call; a team that the leading test rules out costs that
+    one evaluation.  Whether a team passes every test does not depend
     on the order, so the verdict, the witness and `searched` do not either.
     If an evaluation raises EvalError (BudgetExceeded included) while the
     tests are out of the given order, the team is tested again in the given
@@ -104,23 +118,25 @@ def entails_bounded(hypotheses, conclusion, max_domain=2, team_cap=16,
     formulas = list(hypotheses) + [conclusion]
     given = [(h, True) for h in formulas[:-1]] + [(conclusion, False)]
     order = given[:]
+    lead, lead_wanted = order[0]
     sig = mentioned_signature(formulas, registry)
+    # with no relation and no constant each domain size has one model
+    several = bool(sig.relations or sig.constants)
     variables = sorted(set().union(*map(free_names, formulas)))
     budget = budget or EvalBudget()
     n_models = n_teams = 0
     notes = []
     by_size = {}
-    shared = {}  # domain -> (teams, sampled)
-    witness = None
+    domain = witness = None
     for model in enumerate_models(sig, max_domain):
         n_models += 1
-        size = by_size.setdefault(len(model.domain),
-                                  {"models": 0, "teams": 0, "sampled": False})
-        size["models"] += 1
-        if model.domain not in shared:
+        if model.domain != domain:
+            domain = model.domain
+            size = by_size[len(domain)] = {"models": 0, "teams": 0,
+                                           "sampled": False}
             # decided up front: the teams are built lazily, so all_teams
             # would raise TeamCapExceeded only when the first team is taken
-            sampled = len(model.domain) ** len(variables) > team_cap
+            sampled = len(domain) ** len(variables) > team_cap
             if not sampled:
                 teams = all_teams(model, variables, cap=team_cap)
             elif max_rows is not None:
@@ -128,19 +144,23 @@ def entails_bounded(hypotheses, conclusion, max_domain=2, team_cap=16,
                                            max_rows, seed)
             else:
                 teams = sample_teams(model, variables, samples or 1000, seed)
-            shared[model.domain] = itertools.tee(teams, 1)[0], sampled
-        teams, sampled = shared[model.domain]
-        if sampled:
-            size["sampled"] = True
-            if "sampled teams" not in notes:
-                notes.append("sampled teams")
+            if several:
+                teams = itertools.tee(teams, 1)[0]
+            if sampled:
+                size["sampled"] = True
+                if "sampled teams" not in notes:
+                    notes.append("sampled teams")
+        size["models"] += 1
         ev = Evaluator(model, registry, budget).eval
         n = 0
         # the shared tee iterator is never advanced: a copy of it starts at
         # the first team and shares the buffer of the teams drawn so far
-        for n, X in enumerate(copy.copy(teams), 1):
-            try:  # _ruling_out(ev, X, order), inline
-                for k, (phi, wanted) in enumerate(order):
+        for n, X in enumerate(copy.copy(teams) if several else teams, 1):
+            try:  # _ruling_out(ev, X, order), inline, the lead test first
+                if ev(X, lead) != lead_wanted:
+                    continue
+                for k in range(1, len(order)):
+                    phi, wanted = order[k]
                     if ev(X, phi) != wanted:
                         break
                 else:
@@ -156,6 +176,7 @@ def entails_bounded(hypotheses, conclusion, max_domain=2, team_cap=16,
                 break
             if k:
                 order.insert(0, order.pop(k))
+                lead, lead_wanted = order[0]
         n_teams += n
         size["teams"] += n
         if witness is not None:

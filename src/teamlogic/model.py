@@ -153,21 +153,32 @@ def print_model(model):
 
 def enumerate_models(sig, max_size):
     """All models over sig with domain {e1..ed}, d <= max_size, in a fixed
-    deterministic order.  No isomorphism reduction."""
+    deterministic order.  No isomorphism reduction.
+
+    The models are built without Model's checks, as team._generated builds
+    teams: their relations are subsets of the domain's tuple spaces and
+    their constants domain elements, valid by construction.  Each has the
+    invariants Model(...) gives: the domain as its sorted tuple (e1, e10,
+    e2, ... from size 10 on), each relation a frozenset of tuples, and the
+    constants a dict."""
     if max_size < 1:
         raise ModelError("max_size must be >= 1")
     rel_names = sorted(sig.relations)
     const_names = sorted(sig.constants)
+    new = object.__new__
     for d in range(1, max_size + 1):
         domain = tuple("e%d" % i for i in range(1, d + 1))
+        ordered = tuple(sorted(domain))
         tuple_spaces = [sorted(itertools.product(domain, repeat=sig.relations[r]))
                         for r in rel_names]
         rel_choices = [_subsets(space) for space in tuple_spaces]
         for rel_combo in itertools.product(*rel_choices):
             for const_combo in itertools.product(domain, repeat=len(const_names)):
-                yield Model(domain,
-                            dict(zip(rel_names, rel_combo)),
-                            dict(zip(const_names, const_combo)))
+                model = new(Model)
+                model.domain = ordered
+                model.rels = dict(zip(rel_names, rel_combo))
+                model.consts = dict(zip(const_names, const_combo))
+                yield model
 
 
 def _subsets(items):

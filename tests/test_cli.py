@@ -432,3 +432,31 @@ def test_negate_and_translate_of_seeded_draws_are_unchanged(seed, capsys):
             "output": _normalized_output(command, phi, capsys)}
            for command, phi in _golden_draws(seed)]
     assert got == golden
+
+
+@pytest.mark.parametrize("hyp, concl", [("P(x)", "P(x,y)"), ("P(x,y)", "P(x)"),
+                                        ("!P(x,y)", "P(x)")])
+def test_entail_refuses_a_relation_used_with_two_arities(capsys, hyp, concl):
+    # read with one arity, the search once answered "valid up to domain size 2"
+    assert main(["entail", "--hyp", hyp, "--concl", concl, "--max-domain", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: relation P is used with arities 1 and 2\n"
+
+
+def test_check_refuses_an_atom_of_another_arity_than_the_model_relation(files, capsys):
+    m = files("m.txt", "domain a b\nrel P 1\n  a\n")
+    t = files("t.txt", "vars x y\nrow a b\n")
+    # P(x,y) read as not satisfied (exit 1) against the unary P
+    for formula in ("P(x,y)", "!P(x,y)"):
+        assert main(["check", "--model", m, "--team", t, "--formula", formula]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: relation P is used with arity 2, but "
+                                "the model's P has arity 1\n")
+    assert main(["check", "--model", m, "--team", t, "--formula", "P(x) /\\ P(x,y)"]) == 2
+    assert capsys.readouterr().err == "error: relation P is used with arities 1 and 2\n"
+    # an empty relation keeps no arity, so any atom over it is checked as false
+    empty = files("empty.txt", "domain a b\nrel P 1\n")
+    assert main(["check", "--model", empty, "--team", t, "--formula", "P(x,y)"]) == 1
+    assert main(["check", "--model", m, "--team", t, "--formula", "P(x)"]) == 0

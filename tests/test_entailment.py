@@ -375,3 +375,44 @@ def test_counts_include_the_models_before_a_counterexample():
     model, X = v.witness
     assert print_model(model) + print_team(X) == (
         "domain e1 e2\nrel P 1\n  e1\nvars x y z\nrow e1 e1 e1\nrow e1 e2 e1\n")
+
+
+# --- one model per domain size, and symbols used with two arities ------------
+
+# Two constants and no relation: 1 model at domain size 1 and 4 at size 2,
+# which share their size's teams.  x = c rules out most teams first, then
+# =(x;y) and the conclusion take turns at the front.
+_CONSTS = ([Eq(x, Const("c")), Dep((x,), (y,))], Dep((y,), (x,)))
+_CONSTS_COUNTER = ([Eq(x, Const("c")), Eq(y, Const("d"))], Eq(x, y))
+
+
+@pytest.mark.parametrize("hs, c", [_CONSTS, _CONSTS_COUNTER])
+@pytest.mark.parametrize("team_cap", [16, 0])
+def test_models_sharing_only_constants_replay_the_teams(monkeypatch, hs, c, team_cap):
+    assert mentioned_signature(hs + [c]).relations == {}
+    calls = _record_evals(monkeypatch)
+    v = entails_bounded(hs, c, max_domain=2, team_cap=team_cap, samples=30, seed=2)
+    searched = calls[:]
+    del calls[:]
+    _move_to_front_loop(hs, c, 2, team_cap, 30, 2)
+    assert searched == calls and len(calls) > 2
+    assert len({model for model, _, _ in calls}) > 2
+    status, witness, models, teams, by_size = _reference(hs, c, 2, team_cap, 30, 2)
+    assert (v.status, v.witness) == (status, witness)
+    assert (v.searched["models"], v.searched["teams"]) == (models, teams)
+    assert v.searched["by_size"] == by_size
+
+
+@pytest.mark.parametrize("hyp, concl", [
+    ("P(x)", "P(x,y)"),
+    ("P(x,y)", "P(x)"),
+    ("!P(x,y)", "P(x)"),
+    ("P(x)", "!P(x,y)"),
+])
+def test_a_relation_used_with_two_arities_is_refused(hyp, concl):
+    # the last arity met would be the only one the models interpret, so the
+    # other atom would be false on every nonempty team
+    with pytest.raises(ValueError, match="^relation P is used with arities 1 and 2$"):
+        entails_bounded([parse_formula(hyp)], parse_formula(concl), max_domain=2)
+    with pytest.raises(ValueError, match="arities 1 and 2"):
+        mentioned_signature([parse_formula("P(x) /\\ E y. !P(x,y)")])

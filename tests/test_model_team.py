@@ -367,3 +367,44 @@ def test_team_print_then_parse_is_the_identity(X):
     text = print_team(X)
     assert parse_team(text) == X
     assert print_team(parse_team(text)) == text
+
+
+def _checked_models(relations, constants, max_size):
+    """The models that enumerate_models documents, each built by Model(...)
+    with its checks: relation subsets in the order of the sorted tuple
+    space, then constant values in the order e1, e2, ..."""
+    names, consts = sorted(relations), sorted(constants)
+    out = []
+    for d in range(1, max_size + 1):
+        domain = ["e%d" % i for i in range(1, d + 1)]
+        choices = []
+        for name in names:
+            space = sorted(itertools.product(domain, repeat=relations[name]))
+            choices.append([[t for i, t in enumerate(space) if mask >> i & 1]
+                            for mask in range(1 << len(space))])
+        for rels in itertools.product(*choices):
+            for values in itertools.product(domain, repeat=len(consts)):
+                out.append(Model(domain, dict(zip(names, rels)),
+                                 dict(zip(consts, values))))
+    return out
+
+
+@pytest.mark.parametrize("relations, constants", [
+    ({"R": 2}, ("c",)),
+    ({"P": 1, "Q": 0}, ("c", "d")),
+    ({"T": 0}, ()),
+])
+def test_enumerated_models_equal_checked_ones(relations, constants):
+    models = list(enumerate_models(Signature(relations, constants), 3))
+    assert models == _checked_models(relations, constants, 3)
+    for m in models:
+        assert type(m.domain) is tuple and type(m.consts) is dict
+        assert all(type(r) is frozenset and all(type(t) is tuple for t in r)
+                   for r in m.rels.values())
+        assert parse_model(print_model(m)) == m
+
+
+def test_an_enumerated_domain_is_sorted_as_model_sorts_it():
+    *_, m = enumerate_models(Signature(), 10)
+    assert m.domain == Model(["e%d" % i for i in range(1, 11)]).domain
+    assert m.domain[:3] == ("e1", "e10", "e2")
