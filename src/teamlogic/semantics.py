@@ -41,6 +41,15 @@ independence clause fails once the sum over its z-classes of |x-values| *
 reaches, as each class is then the product of its projections (Graedel &
 Vaananen, Studia Logica 2013); without zs the team is the one class.
 
+A masked team (team.MaskedTeam: a bit mask over its space, the sorted
+assignments) takes the _on_cells path for those atoms, for P(xs) and !P(xs)
+over team variables and for x = y and x != y between team variables: the
+empty team holds, and any other is decided by the mask test that the masks
+module builds once per plan and space.  Those literals' row tests read
+columns and relation sets only, so a test built over the whole space raises
+nothing; a row test that runs the Tarskian evaluator, which may raise on a
+row the team lacks, stays on the rows.
+
 eval_single, the Tarskian evaluator, has a twin for a formula evaluated
 many times, _SingleCompiler, with one compiled clause per eval_single clause.
 """
@@ -49,11 +58,12 @@ import functools
 import itertools
 import operator
 
+from . import masks
 from .formula import (And, Bot, BoolOr, Const, Dep, Eq, Exists, Exists1,
                       FOAtom, Forall, Forall1, Implies, Inc, Ind, NegEq,
                       NegFOAtom, SeqEq, SeqNeq, SplitOr, Top, Var, WNeg, Gen,
                       exists_prefix, free_names, is_first_order)
-from .team import Team, _generated, all_supplements, duplicate, set_var
+from .team import MaskedTeam, Team, _generated, all_supplements, duplicate, set_var
 
 
 class EvalError(ValueError):
@@ -255,15 +265,18 @@ _COMPILED = {
 
 class _Plan:
     """What an evaluator knows about phi over the team variables vars: its
-    path run(evaluator, plan, X); the clause and memo (by the team's rows) of
-    a path that runs a clause; and facts, what the path needs besides the
-    team, built when first needed."""
+    path run(evaluator, plan, X); the clause of a path that runs one, and the
+    memo (by the team's rows) of the memoized path; facts, what the clause
+    or path needs besides the team, built when first needed; and cells, the
+    space and mask test of _on_cells, built for the space of the last masked
+    team it decided."""
 
-    __slots__ = ("phi", "vars", "run", "clause", "memo", "facts")
+    __slots__ = ("phi", "vars", "run", "clause", "memo", "facts", "cells")
 
     def __init__(self, phi, variables, run, clause=None, facts=None):
         self.phi, self.vars, self.run, self.clause, self.facts = phi, variables, run, clause, facts
-        self.memo = None if clause is None else {}
+        self.memo = {} if run is _memoized else None
+        self.cells = None
 
 
 class Evaluator:
@@ -346,12 +359,14 @@ class Evaluator:
         if self.literal or not (kind in _ATOM_CLAUSES or is_first_order(phi)):
             return _Plan(phi, variables, _memoized, self._clauses[kind])
         if kind in _ATOM_CLAUSES:
-            return _Plan(phi, variables, _ATOM_CLAUSES[kind])
+            return _Plan(phi, variables, _on_cells, _ATOM_CLAUSES[kind])
         relation = _relation_literal(self.model, phi, variables)
         if relation is None:  # flatness
-            return _Plan(phi, variables, _rows, facts=(_row_test(self.model, phi, variables), all))
+            columns = _column_test(phi, variables)
+            return _Plan(phi, variables, _on_cells if columns else _rows, _rows,
+                         (columns or _row_test(self.model, phi, variables), all))
         get, holds = relation
-        return _Plan(phi, variables, _rows, facts=(
+        return _Plan(phi, variables, _on_cells, _rows, (
             get, holds.issuperset if kind is FOAtom else holds.isdisjoint))
 
     def _eval_split(self, plan, X):
@@ -528,6 +543,21 @@ def _rows(ev, plan, X):
     return compare(map(get, X.rows))
 
 
+def _on_cells(ev, plan, X):
+    """A masked team decided by the mask test that _CELL_TESTS builds for
+    phi over the team's space, once per space; any other team by the plan's
+    clause on its rows.  The empty team holds before any test is built."""
+    if type(X) is not MaskedTeam:
+        return plan.clause(ev, plan, X)
+    mask = X.mask
+    if not mask:
+        return True
+    cells = plan.cells
+    if cells is None or cells[0] is not X.space:
+        cells = plan.cells = X.space, _CELL_TESTS[type(plan.phi)](ev, plan, X.space)
+    return cells[1](mask)
+
+
 def _built(plan, facts):
     plan.facts = facts
     return facts
@@ -556,7 +586,7 @@ def _first_order_side(ev, plan):
         if type(side) in _ATOM_CLAUSES:
             continue
         side_plan = ev._plan_of(side, plan.vars)
-        if side_plan.run is _rows:
+        if side_plan.clause is _rows:
             test, compare = side_plan.facts
             return (test if compare is all else _row_test(ev.model, side, plan.vars)), other
     return None, None
@@ -633,6 +663,17 @@ def _projections(plan):
 
 
 _ATOM_CLAUSES = {Dep: _dep_holds, Ind: _ind_holds, Inc: _inc_holds}
+
+
+# The mask test of each class _on_cells decides, test(evaluator, plan, space);
+# a literal's row test reads columns and relation sets only.
+_CELL_TESTS = {
+    Dep: lambda ev, plan, space: masks.dep(space, *_projections(plan)),
+    Ind: lambda ev, plan, space: masks.ind(space, *_projections(plan)[:3]),
+    Inc: lambda ev, plan, space: masks.inc(space, *_projections(plan)),
+    **dict.fromkeys((FOAtom, NegFOAtom, Eq, NegEq), lambda ev, plan, space: masks.literal(
+        space, _row_test(ev.model, plan.phi, plan.vars))),
+}
 
 
 # -- the clause tables ----------------------------------------------------------
@@ -731,10 +772,17 @@ def _row_test(model, phi, variables):
         get, holds = relation
         return (lambda r: get(r) in holds) if isinstance(phi, FOAtom) else (
             lambda r: get(r) not in holds)
-    if isinstance(phi, (Eq, NegEq)) and _team_vars_only(variables, (phi.lhs, phi.rhs)):
-        i, j = variables.index(phi.lhs.name), variables.index(phi.rhs.name)
-        return (lambda r: r[i] == r[j]) if isinstance(phi, Eq) else (lambda r: r[i] != r[j])
-    return lambda r: eval_single(model, dict(zip(variables, r)), phi)
+    return _column_test(phi, variables) or (
+        lambda r: eval_single(model, dict(zip(variables, r)), phi))
+
+
+def _column_test(phi, variables):
+    """For x = y or x != y over team variables, the comparison of their
+    columns; None for any other formula."""
+    if not isinstance(phi, (Eq, NegEq)) or not _team_vars_only(variables, (phi.lhs, phi.rhs)):
+        return None
+    i, j = variables.index(phi.lhs.name), variables.index(phi.rhs.name)
+    return (lambda r: r[i] == r[j]) if isinstance(phi, Eq) else (lambda r: r[i] != r[j])
 
 
 def _relation_literal(model, phi, variables):

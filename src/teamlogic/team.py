@@ -1,19 +1,28 @@
 """Teams and the team algebra: duplication, supplementation, relation
 extraction, restriction, exhaustive and random team generators.
 
-A team is an ordered tuple of variable names plus a frozenset of value rows
-(tuples aligned with the variable order).  Teams are canonical: equal teams
-compare equal structurally.
+A team is an ordered tuple of variable names plus its rows, a frozenset of
+value tuples aligned with the variable order.  Teams are canonical: equal
+teams compare equal structurally, whichever way their rows are held.
+
+all_teams and sample_teams yield masked teams (MaskedTeam): a team keeps
+`space`, the sorted tuple of all assignments to its variables (one object
+per generator call, shared by its teams), and an int `mask` whose bit i is
+set iff space[i] is a row.  Its frozenset of rows is built from the mask
+when first read (printing, ==, hash, the evaluator's memoized paths), and
+its length is the mask's bit count.  The evaluator's default mode decides
+dep/ind/inc atoms and literals over team variables on the mask alone
+(semantics.py, masks.py).
 
 Team(...) checks that the variables are distinct and that every row has one
 value per variable; parsed teams, restrict and teams built from outside data
 go through it.  Teams derived from a valid team (X[F/x] in set_var,
 duplicate, supplement and all_supplements, the evaluator's split subteams)
-and the generators' teams are built by _generated without those checks:
-their variables are the parent's, plus at most one fresh name, or a tuple
-checked once, and their rows are the parent's rows, each with one value set
-or appended, or rows of the product space, of the right length by
-construction.
+and sample_small_teams's teams are built by _generated, and the masked
+teams by _masked, without those checks: their variables are the parent's,
+plus at most one fresh name, or a tuple checked once, and their rows are the
+parent's rows, each with one value set or appended, or rows of the product
+space, of the right length by construction.
 
 sample_teams draws each team's coin flips with one getrandbits call in place
 of one random() call per assignment; the draws are the same bits of the same
@@ -22,6 +31,7 @@ generator words, so its sequence of teams is unchanged (see its docstring).
 Team file format: "vars x y z" then one "row a a b" line per assignment.
 """
 
+import functools
 import itertools
 import random
 
@@ -73,6 +83,18 @@ class Team:
         """Rows as dicts variable -> value."""
         for r in sorted(self.rows):
             yield dict(zip(self.vars, r))
+
+
+class MaskedTeam(Team):
+    """A generator's team: the rows are the assignments space[i] whose bit i
+    is set in `mask`, built as a frozenset when first read."""
+
+    @functools.cached_property
+    def rows(self):
+        return frozenset(itertools.compress(self.space, map("1".__eq__, bin(self.mask)[:1:-1])))
+
+    def __len__(self):
+        return self.mask.bit_count()
 
 
 def _setter(X, x):
@@ -152,20 +174,22 @@ def all_teams(model, variables, cap=16):
     if n_assign > cap:
         raise TeamCapExceeded(
             "%d assignments exceed the cap of %d; use sample_teams" % (n_assign, cap))
-    # the bit-mask order, built lazily by doubling: the teams of masks below
-    # 2**i, then each of them with the i-th sorted assignment added
-    built = [frozenset()]
-    yield _generated(variables, built[0])
-    for row in sorted(itertools.product(model.domain, repeat=len(variables))):
-        one = {row}
-        for i in range(len(built)):
-            rows = built[i] | one
-            built.append(rows)
-            yield _generated(variables, rows)
+    space = _space(model, variables)
+    for mask in range(1 << n_assign):  # the bit-mask order
+        yield _masked(variables, space, mask)
 
 
-# byte -> 1 where its top bit is clear, else 0
-_TOP_BIT_CLEAR = bytes(range(256)).translate(bytes([1] * 128 + [0] * 128))
+def _space(model, variables):
+    """The sorted assignments to `variables`, as one tuple."""
+    return tuple(sorted(itertools.product(model.domain, repeat=len(variables))))
+
+
+def _masked(variables, space, mask, _new=object.__new__):
+    """A MaskedTeam built without Team's checks: `variables` a tuple of
+    distinct names, `space` the sorted assignments over them."""
+    X = _new(MaskedTeam)
+    X.vars, X.space, X.mask = variables, space, mask
+    return X
 
 
 def sample_teams(model, variables, count, seed):
@@ -179,15 +203,21 @@ def sample_teams(model, variables, count, seed):
     `getrandbits(64 * n)` takes the same 2n words, the first in the lowest
     bits.  So each team takes its n draws as one `getrandbits` call and
     keeps the assignments whose first word has bit 31 clear: bit 7 of the
-    little-endian bytes 3, 11, 19, ...  The teams and the generator's state
-    after each team are those of the draw-by-draw loop."""
+    big-endian bytes 8n - 4, 8n - 12, ..., 4, read as the binary digits of
+    the team's mask from its last assignment to its first.  The teams and
+    the generator's state after each team are those of the draw-by-draw
+    loop."""
     variables = Team(variables, ()).vars
     bits = random.Random(seed).getrandbits
-    space = sorted(itertools.product(model.domain, repeat=len(variables)))
+    space = _space(model, variables)
     n = len(space)
     for _ in range(count):
-        keep = bits(64 * n).to_bytes(8 * n, "little")[3::8].translate(_TOP_BIT_CLEAR)
-        yield _generated(variables, frozenset(itertools.compress(space, keep)))
+        digits = bits(64 * n).to_bytes(8 * n, "big")[4::8].translate(_TOP_BIT_CLEAR_DIGIT)
+        yield _masked(variables, space, int(digits, 2))
+
+
+# byte -> the digit 1 where its top bit is clear, else 0
+_TOP_BIT_CLEAR_DIGIT = b"1" * 128 + b"0" * 128
 
 
 def sample_small_teams(model, variables, count, max_rows, seed):
@@ -228,7 +258,7 @@ def parse_team(text):
 
 
 def print_team(X):
-    lines = ["vars %s" % " ".join(X.vars)]
+    lines = [" ".join(("vars",) + X.vars)]
     for r in sorted(X.rows):
-        lines.append("row %s" % " ".join(r))
+        lines.append(" ".join(("row",) + r))
     return "\n".join(lines) + "\n"

@@ -15,6 +15,7 @@ from teamlogic.cli import main
 from teamlogic.formula import children
 from teamlogic.negation import is_negatable_fragment
 from teamlogic.parser import print_formula
+from teamlogic.team import parse_team, print_team
 
 MODEL = "domain 0 1\nrel P 1\n  1\n"
 TEAM_OK = "vars x y\nrow 0 0\nrow 1 1\n"
@@ -402,8 +403,10 @@ def test_atom_commands_print_the_same_bytes_when_repeated(capsys):
 
 # negate and translate of 20 seeded compound formulas: the first negatable
 # gen_downward draw and then the first gen_so_friendly draw of each seed.
-# The outputs were captured from the CLI; fresh-variable counters depend on
-# what ran before in the process, so `$N` is normalized to `$` on both sides.
+# The outputs were captured from the CLI; the counter that fresh_var appends
+# depends on what ran before in the process, so in a name with exactly one
+# `$` (`u$12`) the digits are dropped on both sides.  The indices of the
+# other generated names (`w$0$1`, the grid variables `w$1$2$3`) are kept.
 GOLDEN_DRAWS = REPO / "tests" / "golden" / "cli_draws.json"
 
 
@@ -420,9 +423,12 @@ def _golden_draws(seed):
             ("translate", _compound_draw(rng, gen_so_friendly))]
 
 
+_FRESH_COUNTER = re.compile(r"(?<![\w$])([A-Za-z_]\w*)\$\d+(?![\w$])")
+
+
 def _normalized_output(command, phi, capsys):
     assert main([command, "--formula", print_formula(phi)]) == 0
-    return re.sub(r"\$\d+", "$", capsys.readouterr().out)
+    return _FRESH_COUNTER.sub(r"\1$", capsys.readouterr().out)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -460,3 +466,11 @@ def test_check_refuses_an_atom_of_another_arity_than_the_model_relation(files, c
     empty = files("empty.txt", "domain a b\nrel P 1\n")
     assert main(["check", "--model", empty, "--team", t, "--formula", "P(x,y)"]) == 1
     assert main(["check", "--model", m, "--team", t, "--formula", "P(x)"]) == 0
+
+
+def test_entail_dumps_a_zero_variable_witness_that_parses_back(capsys):
+    assert main(["--machine", "entail", "--concl", "E x. P(x)"]) == 1
+    out = capsys.readouterr().out
+    team_text = out[out.index("\nvars") + 1:]
+    assert team_text == "vars\nrow\n"
+    assert print_team(parse_team(team_text)) == team_text

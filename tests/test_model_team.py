@@ -7,10 +7,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from teamlogic.model import (Model, ModelError, Signature, enumerate_models,
                              expand_with_relation, parse_model, print_model)
-from teamlogic.team import (Team, TeamCapExceeded, TeamError, all_supplements,
-                            all_teams, duplicate, parse_team, print_team, rel,
-                            restrict, sample_small_teams, sample_teams, set_var,
-                            supplement)
+from teamlogic.team import (MaskedTeam, Team, TeamCapExceeded, TeamError,
+                            all_supplements, all_teams, duplicate, parse_team,
+                            print_team, rel, restrict, sample_small_teams,
+                            sample_teams, set_var, supplement)
 
 
 def m2():
@@ -223,6 +223,33 @@ def test_sample_teams_reproducible():
 def test_team_print_parse_round_trip():
     X = Team(("x", "y"), [("0", "1"), ("1", "1")])
     assert parse_team(print_team(X)) == X
+
+
+@pytest.mark.parametrize("domain, variables, teams", [
+    (("0", "1"), ("x", "y"), lambda: all_teams(m2(), ("x", "y"))),
+    (("0", "1"), (), lambda: all_teams(m2(), ())),
+    (_M3.domain, ("x", "y", "z"), lambda: sample_teams(_M3, ("x", "y", "z"), 20, seed=5)),
+], ids=["all-2-vars", "all-0-vars", "sampled-3-vars"])
+def test_masked_teams_behave_as_their_checked_twins(domain, variables, teams):
+    """A generator's team keeps its rows as a mask over the sorted
+    assignments; it reads as the team of those rows through Team(...)."""
+    space = sorted(itertools.product(domain, repeat=len(variables)))
+    for X in teams():
+        twin = Team(variables, [r for i, r in enumerate(space) if X.mask >> i & 1])
+        assert type(X) is MaskedTeam and list(X.space) == space
+        assert len(X) == len(twin)  # from the mask, before the rows are read
+        assert X.is_empty() == twin.is_empty()
+        assert X == twin and twin == X and hash(X) == hash(twin)
+        assert X.rows == twin.rows and type(X.rows) is frozenset
+        assert repr(X) == repr(twin) and print_team(X) == print_team(twin)
+        assert parse_team(print_team(X)) == X
+
+
+def test_print_team_of_zero_variables_has_no_trailing_space():
+    assert print_team(Team((), [])) == "vars\n"
+    assert print_team(Team((), [()])) == "vars\nrow\n"
+    for X in (Team((), []), Team((), [()])):
+        assert parse_team(print_team(X)) == X
 
 
 def test_team_column():

@@ -15,8 +15,9 @@ from teamlogic.formula import (_FIRST_ORDER, SHAPES, And, BoolOr, Bot, Const,
 from teamlogic.semantics import (_COMPILED, _SINGLE, BudgetExceeded,
                                  EvalBudget, EvalError, _SingleCompiler,
                                  eval_formula, eval_single)
-from teamlogic.model import Model
-from teamlogic.team import Team
+from teamlogic import semantics
+from teamlogic.model import Model, ModelError
+from teamlogic.team import Team, all_teams, sample_teams
 
 x, y, z = Var("x"), Var("y"), Var("z")
 M = default_model()
@@ -752,3 +753,117 @@ def test_searches_build_no_checked_team(monkeypatch):
     assert set(planned.values()) == {1}
     assert eval_formula(M, one, Exists(z, Inc((z,), (y,))))
     assert built == [("x", "y", "z")]
+
+
+# --- masked teams: cell masks against the row clauses ---------------------------
+
+# dep/ind/inc with repeated variables and empty sides, and the literals that
+# the default mode decides on cell masks: P(xs), !P(xs), x = y, x != y
+_MASKED_FORMULAS = [
+    Dep((x,), (y,)), Dep((x, y), (z,)), Dep((), (x,)), Dep((x, x), (y, x)),
+    Dep((z,), (z,)), Dep((y, z), (x, y)),
+    Ind((x,), (), (y,)), Ind((x,), (z,), (y,)), Ind((x,), (), (x,)), Ind((), (), ()),
+    Ind((x, y), (), (z,)), Ind((x,), (y,), (y,)), Ind((x,), (y, z), (x,)),
+    Ind((), (x,), (y,)), Ind((x,), (x,), (y,)), Ind((z, x), (y,), (z,)),
+    Inc((x,), (y,)), Inc((x, y), (y, x)), Inc((x, x), (y, z)), Inc((), ()),
+    Inc((x, y), (z, z)), Inc((z,), (z,)),
+    FOAtom("P", (x,)), NegFOAtom("P", (y,)), FOAtom("Q", (x, y)), NegFOAtom("Q", (z, z)),
+    FOAtom("R", ()), NegFOAtom("R", ()), FOAtom("S", ()),
+    Eq(x, y), NegEq(y, z), Eq(z, z), NegEq(x, x),
+]
+_M2 = Model(("0", "1"))
+_M3 = Model(("0", "1", "2"), {"P": [("1",), ("2",)], "Q": [("0", "1"), ("2", "2"), ("1", "0")],
+                              "R": [()], "S": []})
+
+
+def _masked_twin(X, domain):
+    """X's rows rebuilt from its mask over the sorted product space."""
+    space = sorted(itertools.product(domain, repeat=len(X.vars)))
+    return Team(X.vars, [r for i, r in enumerate(space) if X.mask >> i & 1])
+
+
+def _oracle_of(phi, X):
+    kind = {Dep: "dep", Ind: "ind", Inc: "inc"}.get(type(phi))
+    if kind is None:
+        return None
+    names = [[v.name for v in side] for side in
+             ((phi.determiners, phi.dependent) if kind == "dep" else
+              (phi.xs, phi.zs, phi.ys) if kind == "ind" else (phi.xs, phi.ys))]
+    return getattr(oracle_atoms, "holds_" + kind)(X.vars, X.rows, *names)
+
+
+@pytest.mark.parametrize("teams", [
+    lambda: [(X, ("0", "1")) for X in all_teams(_M2, ("x", "y", "z"), cap=8)],
+    lambda: [(X, ("0", "1", "2")) for X in sample_teams(_M3, ("w", "x", "y", "z"), 60, seed=11)],
+    # one evaluator, two spaces over the same variables, interleaved
+    lambda: [pair for Xs in zip(all_teams(_M2, ("x", "y", "z"), cap=8),
+                                sample_teams(_M3, ("x", "y", "z"), 256, seed=3))
+             for pair in zip(Xs, (("0", "1"), ("0", "1", "2")))],
+], ids=["all-3-vars-d2", "sampled-4-vars-d3", "two-spaces"])
+def test_masked_teams_agree_with_row_twins_and_the_oracle(teams):
+    """The default mode decides a masked team on the cell masks of its own
+    space; literal mode on the checked twin runs the row clauses, and the
+    oracle transcribes the defining clauses.  The relation literals read
+    _M3's relations on the domain-2 teams too."""
+    pairs = teams()
+    default, literal = semantics.Evaluator(_M3), semantics.Evaluator(_M3, literal=True)
+    seen = collections.Counter()
+    for phi in _MASKED_FORMULAS:
+        for X, domain in pairs:
+            twin = _masked_twin(X, domain)
+            got = default.eval(X, phi)
+            want = literal.eval(twin, phi)
+            assert got is want, (phi, twin)
+            assert _oracle_of(phi, twin) in (None, want), (phi, twin)
+            seen[phi, want] += 1
+    both = [phi for phi in _MASKED_FORMULAS if seen[phi, True] and seen[phi, False]]
+    assert len(both) >= 4  # on large sampled teams most atoms fail
+
+
+def test_masked_teams_decide_without_building_rows():
+    X = list(sample_teams(_M3, ("w", "x", "y", "z"), 3, seed=1))[-1]
+    ev = semantics.Evaluator(_M3)
+    for phi in _MASKED_FORMULAS:
+        ev.eval(X, phi)
+    assert "rows" not in vars(X)
+    assert ev.eval(X, SplitOr(Eq(x, y), NegEq(x, y)))  # a memoized path reads rows
+    assert "rows" in vars(X)
+
+
+def test_the_empty_masked_team_holds_before_its_space_is_read():
+    class Unread(tuple):
+        def __iter__(self):
+            raise AssertionError("the space of an empty team was read")
+    X = next(all_teams(_M2, ("x", "y", "z")))
+    X.space = Unread(X.space)
+    ev = semantics.Evaluator(_M3)
+    assert all(ev.eval(X, phi) for phi in _MASKED_FORMULAS)
+
+
+def _outcome(evaluate):
+    try:
+        return evaluate()
+    except (EvalError, ModelError) as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("phi", [
+    FOAtom("P", (x,)), NegFOAtom("P", (x, y)), Implies(Eq(x, y), FOAtom("P", (y,))),
+    Implies(NegEq(x, y), NegFOAtom("P", ())), FOAtom("P", (Const("c"),))])
+def test_masked_teams_raise_where_the_row_path_raises(phi):
+    """With a relation or constant the model lacks, the row tests run on the
+    team's rows only: the empty masked team holds, a team raises exactly
+    when one of its rows does, and answers otherwise."""
+    model = Model(("0", "1"))
+    default, literal = semantics.Evaluator(model), semantics.Evaluator(model, literal=True)
+    outcomes = set()
+    for X in all_teams(model, ("x", "y")):
+        twin = _masked_twin(X, model.domain)
+        got = _outcome(lambda: default.eval(X, phi))
+        assert got == _outcome(lambda: literal.eval(twin, phi)), (phi, twin)
+        assert got == _outcome(lambda: semantics.Evaluator(model).eval(twin, phi)), (phi, twin)
+        if not X.mask:
+            assert got is True
+        else:
+            outcomes.add(got if type(got) is bool else got[0])
+    assert outcomes == ({True, ModelError} if isinstance(phi, Implies) else {ModelError})
